@@ -16,8 +16,6 @@ namespace xclean::simd {
 
 namespace {
 
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
 Level Detect() {
 #if defined(XCLEAN_SIMD_X86)
 #if defined(__GNUC__) || defined(__clang__)
@@ -97,43 +95,6 @@ size_t LowerBoundKey64Stride16Scalar(const unsigned char* base, size_t size,
     }
   }
   return lo;
-}
-
-void Fnv1aBatch4Interleaved(uint64_t seed, const std::string_view in[4],
-                            uint64_t out[4]) {
-  // Four scalar chains advanced in lockstep: the compiler interleaves the
-  // independent xor/multiply chains, hiding each multiply's latency behind
-  // the other lanes. Identical arithmetic to one-at-a-time FNV-1a.
-  uint64_t h0 = seed, h1 = seed, h2 = seed, h3 = seed;
-  const size_t n0 = in[0].size(), n1 = in[1].size();
-  const size_t n2 = in[2].size(), n3 = in[3].size();
-  size_t common = n0;
-  common = common < n1 ? common : n1;
-  common = common < n2 ? common : n2;
-  common = common < n3 ? common : n3;
-  size_t j = 0;
-  for (; j < common; ++j) {
-    h0 = (h0 ^ static_cast<uint8_t>(in[0][j])) * kFnvPrime;
-    h1 = (h1 ^ static_cast<uint8_t>(in[1][j])) * kFnvPrime;
-    h2 = (h2 ^ static_cast<uint8_t>(in[2][j])) * kFnvPrime;
-    h3 = (h3 ^ static_cast<uint8_t>(in[3][j])) * kFnvPrime;
-  }
-  for (size_t k = j; k < n0; ++k) {
-    h0 = (h0 ^ static_cast<uint8_t>(in[0][k])) * kFnvPrime;
-  }
-  for (size_t k = j; k < n1; ++k) {
-    h1 = (h1 ^ static_cast<uint8_t>(in[1][k])) * kFnvPrime;
-  }
-  for (size_t k = j; k < n2; ++k) {
-    h2 = (h2 ^ static_cast<uint8_t>(in[2][k])) * kFnvPrime;
-  }
-  for (size_t k = j; k < n3; ++k) {
-    h3 = (h3 ^ static_cast<uint8_t>(in[3][k])) * kFnvPrime;
-  }
-  out[0] = h0;
-  out[1] = h1;
-  out[2] = h2;
-  out[3] = h3;
 }
 
 // --- x86-64 tiers ---------------------------------------------------------
@@ -424,20 +385,6 @@ size_t LowerBoundKey64Stride16(Level level, const void* base, size_t size,
 #endif
   (void)level;
   return LowerBoundKey64Stride16Scalar(bytes, size, needle);
-}
-
-void Fnv1aBatch4(Level level, uint64_t seed, const std::string_view in[4],
-                 uint64_t out[4]) {
-  // Every tier runs the interleaved form. An AVX2 lane version (bytes
-  // gathered per step, 64x64 multiply emulated from 32-bit partial
-  // products) was measured 3-5x SLOWER than four interleaved scalar
-  // chains: FNV's per-byte multiply is a serial dependency, and the
-  // emulation triples the latency on that critical path while the scalar
-  // multiplier pipelines the four independent chains for free. The batch
-  // API is the optimization; the lanes are best left to the superscalar
-  // core.
-  (void)level;
-  Fnv1aBatch4Interleaved(seed, in, out);
 }
 
 }  // namespace xclean::simd

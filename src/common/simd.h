@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace xclean::simd {
 
@@ -88,17 +87,6 @@ size_t CountKeysBelowStride8(Level level, const void* base, size_t size,
 /// (unique) position.
 size_t LowerBoundKey64Stride16(Level level, const void* base, size_t size,
                                uint64_t needle);
-
-/// Four independent FNV-1a chains advanced in lockstep, all starting from
-/// `seed`: out[i] is bit-identical to folding in[i]'s bytes one at a time
-/// with the scalar hash. Lanes may have different lengths. Every tier runs
-/// four interleaved scalar chains — batching is the optimization (it
-/// breaks the per-hash multiply latency chain; the superscalar core
-/// pipelines the four independent multiplies), whereas a true AVX2 lane
-/// version measured slower: no 64-bit lane multiply exists below AVX-512DQ
-/// and the 32-bit emulation triples the serial per-byte latency.
-void Fnv1aBatch4(Level level, uint64_t seed, const std::string_view in[4],
-                 uint64_t out[4]);
 
 }  // namespace xclean::simd
 

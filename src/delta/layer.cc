@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -28,24 +29,25 @@ DeadDocStats ComputeDeadDocStats(const XmlIndex& index, NodeId doc) {
   // (token << 32 | path) -> containment count.
   std::unordered_map<uint64_t, uint32_t> type_freq;
 
-  std::vector<std::string> words;
+  std::string buf;
   for (NodeId n = doc; n <= end; ++n) {
     if (!tree.has_text(n)) continue;
-    index.tokenizer().TokenizeInto(tree.text(n), words);
-    for (const std::string& w : words) {
-      const TokenId t = index.vocabulary().Find(w);
-      // Every indexed occurrence tokenizes back to a vocabulary entry: the
-      // index was built with this same tokenizer over this same text.
-      XCLEAN_CHECK(t != kInvalidToken);
-      cf[t] += 1;
-      out.total_tokens += 1;
-      for (NodeId a = n;; a = tree.parent(a)) {
-        if (seen.insert((static_cast<uint64_t>(a) << 32) | t).second) {
-          type_freq[(static_cast<uint64_t>(t) << 32) | tree.path_id(a)] += 1;
-        }
-        if (a == doc) break;
-      }
-    }
+    index.tokenizer().ForEachToken(
+        tree.text(n), buf, [&](std::string_view w) {
+          const TokenId t = index.vocabulary().Find(w);
+          // Every indexed occurrence tokenizes back to a vocabulary entry:
+          // the index was built with this same tokenizer over this text.
+          XCLEAN_CHECK(t != kInvalidToken);
+          cf[t] += 1;
+          out.total_tokens += 1;
+          for (NodeId a = n;; a = tree.parent(a)) {
+            if (seen.insert((static_cast<uint64_t>(a) << 32) | t).second) {
+              type_freq[(static_cast<uint64_t>(t) << 32) |
+                        tree.path_id(a)] += 1;
+            }
+            if (a == doc) break;
+          }
+        });
   }
 
   out.cf.assign(cf.begin(), cf.end());

@@ -1,8 +1,9 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -13,44 +14,6 @@ namespace xclean {
 
 namespace {
 
-/// Builds the type lists for one token: counts, per label path, the number
-/// of *distinct* nodes of that path whose subtree contains the token.
-///
-/// Postings arrive in document order, so consecutive postings share the
-/// ancestor chain up to their Dewey common prefix: for posting node n with
-/// common-prefix depth L against the previous posting, exactly the
-/// ancestors at depths L+1..depth(n) are newly seen and must be counted
-/// (the shallower ones were counted with an earlier posting).
-std::vector<PathFreq> BuildTypeList(const XmlTree& tree,
-                                    const PostingList& postings) {
-  std::unordered_map<PathId, uint32_t> freq;
-  NodeId prev = kInvalidNode;
-  for (const Posting& p : postings) {
-    uint32_t new_from_depth = 1;
-    if (prev != kInvalidNode) {
-      new_from_depth = static_cast<uint32_t>(DeweyCommonPrefix(
-                           tree.dewey(prev), tree.dewey(p.node))) +
-                       1;
-    }
-    NodeId cur = p.node;
-    std::vector<NodeId> chain;
-    while (tree.depth(cur) >= new_from_depth) {
-      chain.push_back(cur);
-      if (tree.depth(cur) == 1) break;
-      cur = tree.parent(cur);
-    }
-    for (NodeId a : chain) ++freq[tree.path_id(a)];
-    prev = p.node;
-  }
-  std::vector<PathFreq> out;
-  out.reserve(freq.size());
-  for (const auto& [path, f] : freq) out.push_back(PathFreq{path, f});
-  std::sort(out.begin(), out.end(), [](const PathFreq& a, const PathFreq& b) {
-    return a.path < b.path;
-  });
-  return out;
-}
-
 /// One deduplicated (node, token) occurrence. The flat occurrence table is
 /// what the postings shards scan; keeping the node inline avoids a second
 /// per-node offset table.
@@ -59,6 +22,53 @@ struct Occurrence {
   NodeId node;
   uint32_t tf;
 };
+
+/// Where a token occurred last during the fused pass: its text node and
+/// that node's slot in the occurrence table. A repeat inside the same node
+/// bumps the slot's tf instead of adding an occurrence.
+struct LastOccurrence {
+  NodeId node = kInvalidNode;
+  size_t slot = 0;
+};
+
+/// Builds the type lists of tokens [begin, end): for each label path, the
+/// number of *distinct* nodes of that path whose subtree contains the
+/// token (f_w^p of Eq. 7).
+///
+/// Every posting walks up its ancestor chain and stops at the first node
+/// already stamped for the current token: that node's ancestors were
+/// stamped by the same earlier walk, so each containing node is counted
+/// exactly once. Tokens are distinct, so the token id itself is the stamp
+/// and `seen` never needs clearing. `freq` is a flat per-path counter;
+/// `touched` remembers its non-zero entries, which are emitted in PathId
+/// order and reset.
+void BuildTypeLists(const XmlTree& tree,
+                    const std::vector<PostingList>& inverted_lists,
+                    size_t begin, size_t end,
+                    std::vector<std::vector<PathFreq>>& lists) {
+  std::vector<TokenId> seen(tree.size(), kInvalidToken);
+  std::vector<uint32_t> freq(tree.path_count(), 0);
+  std::vector<PathId> touched;
+  for (size_t token = begin; token < end; ++token) {
+    const auto stamp = static_cast<TokenId>(token);
+    for (const Posting& p : inverted_lists[token]) {
+      for (NodeId a = p.node; a != kInvalidNode && seen[a] != stamp;
+           a = tree.parent(a)) {
+        seen[a] = stamp;
+        const PathId path = tree.path_id(a);
+        if (freq[path]++ == 0) touched.push_back(path);
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    std::vector<PathFreq>& out = lists[token];
+    out.reserve(touched.size());
+    for (PathId path : touched) {
+      out.push_back(PathFreq{path, freq[path]});
+      freq[path] = 0;
+    }
+    touched.clear();
+  }
+}
 
 }  // namespace
 
@@ -85,53 +95,46 @@ std::unique_ptr<XmlIndex> IndexBuilder::Build(XmlTree tree,
   index->node_tokens_.assign(n, 0);
   index->subtree_tokens_.assign(n, 0);
 
-  // Phase 1: tokenize text-bearing nodes, in parallel over chunks. Output
-  // slot i depends only on node text_nodes[i], so any schedule produces the
-  // same table.
-  const std::vector<NodeId> text_nodes = t.TextNodes();
-  const size_t num_text_nodes = text_nodes.size();
-  std::vector<std::vector<std::string>> tokens_by_node(num_text_nodes);
-  ParallelFor(
-      pool.get(), num_text_nodes,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          index->tokenizer_.TokenizeInto(t.text(text_nodes[i]),
-                                         tokens_by_node[i]);
-        }
-      },
-      ParallelForOptions{.min_chunk = 128});
-
-  // Phase 2 (serial): intern the vocabulary in node order — id assignment
-  // must match a serial build byte for byte — and flatten the per-node
-  // (token, tf) pairs into one occurrence table in node order.
+  // Phase 1 (serial): tokenize every text-bearing node straight into the
+  // vocabulary, in node order — id assignment must match a serial build
+  // byte for byte — and record each node's distinct (token, tf) pairs in
+  // one occurrence table in node order. Tokens arrive as views
+  // (Tokenizer::ForEachToken), so the pass allocates only when the
+  // vocabulary or the tables grow.
+  Vocabulary& vocabulary = index->vocabulary_;
   std::vector<Occurrence> occurrences;
-  std::unordered_map<TokenId, uint32_t> node_tf;
-  for (size_t i = 0; i < num_text_nodes; ++i) {
-    const std::vector<std::string>& tokens = tokens_by_node[i];
-    if (tokens.empty()) continue;
-    const NodeId node = text_nodes[i];
+  std::vector<LastOccurrence> last;
+  std::string buf;
+  for (NodeId node = 0; node < n; ++node) {
+    if (!t.has_text(node)) continue;
+    uint32_t count = 0;
+    index->tokenizer_.ForEachToken(
+        t.text(node), buf, [&](std::string_view token) {
+          const TokenId id = vocabulary.Intern(token);
+          if (id == last.size()) {
+            last.emplace_back();
+            index->cf_.push_back(0);
+            index->df_.push_back(0);
+          }
+          ++count;
+          ++index->cf_[id];
+          LastOccurrence& prev = last[id];
+          if (prev.node == node) {
+            ++occurrences[prev.slot].tf;
+            return;
+          }
+          prev = LastOccurrence{node, occurrences.size()};
+          occurrences.push_back(Occurrence{id, node, 1});
+          ++index->df_[id];
+        });
+    if (count == 0) continue;
     ++index->text_node_count_;
-    node_tf.clear();
-    for (const std::string& token : tokens) {
-      ++node_tf[index->vocabulary_.Intern(token)];
-    }
-    index->node_tokens_[node] = static_cast<uint32_t>(tokens.size());
-    index->total_tokens_ += tokens.size();
-    if (index->vocabulary_.size() > index->cf_.size()) {
-      index->cf_.resize(index->vocabulary_.size(), 0);
-      index->df_.resize(index->vocabulary_.size(), 0);
-    }
-    for (const auto& [id, tf] : node_tf) {
-      occurrences.push_back(Occurrence{id, node, tf});
-      index->cf_[id] += tf;
-      index->df_[id] += 1;
-    }
-    tokens_by_node[i].clear();
-    tokens_by_node[i].shrink_to_fit();
+    index->node_tokens_[node] = count;
+    index->total_tokens_ += count;
   }
-  tokens_by_node.clear();
+  last = {};
 
-  // Phase 3: sharded postings accumulation. Each shard owns a contiguous
+  // Phase 2: sharded postings accumulation. Each shard owns a contiguous
   // token range and scans the occurrence table once, appending postings
   // only for its own tokens; within a token, postings arrive in node order
   // because the table is in node order. df gives exact reserve sizes.
@@ -163,7 +166,7 @@ std::unique_ptr<XmlIndex> IndexBuilder::Build(XmlTree tree,
     index->inverted_lists_.emplace_back(std::move(list));
   }
 
-  // Phase 4 (serial): subtree token counts by reverse-preorder
+  // Phase 3 (serial): subtree token counts by reverse-preorder
   // accumulation; inherently sequential but O(n) additions.
   for (NodeId node = n; node-- > 0;) {
     index->subtree_tokens_[node] += index->node_tokens_[node];
@@ -172,20 +175,19 @@ std::unique_ptr<XmlIndex> IndexBuilder::Build(XmlTree tree,
     }
   }
 
-  // Phase 5: type lists, parallel over tokens (each list is a pure function
-  // of that token's posting list).
+  // Phase 4: type lists, parallel over token ranges (each list is a pure
+  // function of that token's posting list). Every chunk owns its own stamp
+  // and counter arrays.
   index->type_index_.lists_.resize(vocab_size);
   ParallelFor(
       pool.get(), vocab_size,
       [&](size_t begin, size_t end) {
-        for (size_t token = begin; token < end; ++token) {
-          index->type_index_.lists_[token] =
-              BuildTypeList(t, index->inverted_lists_[token]);
-        }
+        BuildTypeLists(t, index->inverted_lists_, begin, end,
+                       index->type_index_.lists_);
       },
       ParallelForOptions{.min_chunk = 64});
 
-  // Phase 6: FastSS variant index, parallel neighborhood generation per
+  // Phase 5: FastSS variant index, parallel neighborhood generation per
   // vocabulary shard with a deterministic merge (text/fastss.cc).
   FastSsIndex::Options fs_options;
   fs_options.max_ed = options.fastss_max_ed;

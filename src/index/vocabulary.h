@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace xclean {
@@ -39,22 +38,25 @@ class Vocabulary {
   const std::vector<std::string>& tokens() const { return tokens_; }
 
  private:
-  // Transparent hashing lets Find() take string_view without allocating.
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>()(s);
-    }
-  };
-  struct StringEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const {
-      return a == b;
-    }
+  /// One open-addressing slot: a token id and the low 32 bits of the
+  /// token's hash, compared before the string and reused on growth.
+  struct Slot {
+    uint32_t hash;
+    TokenId id;  // kInvalidToken = empty
   };
 
+  static uint32_t Hash(std::string_view token);
+  /// The slot holding `token`, or the empty slot where it belongs.
+  size_t Probe(std::string_view token, uint32_t hash) const;
+  /// Doubles the table (at least 16 slots) and reinserts every id.
+  void Grow();
+
   std::vector<std::string> tokens_;
-  std::unordered_map<std::string, TokenId, StringHash, StringEq> ids_;
+  /// Linear-probing table over tokens_: a power of two in size, at most
+  /// half full, and empty until the first Intern. Index construction
+  /// interns every token occurrence; a flat probe avoids a node-based
+  /// map's bucket-then-node chase on each one.
+  std::vector<Slot> slots_;
 };
 
 }  // namespace xclean

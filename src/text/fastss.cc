@@ -1,8 +1,6 @@
 #include "text/fastss.h"
 
 #include <algorithm>
-#include <iterator>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
@@ -21,38 +19,12 @@ uint64_t TagSeed(uint8_t tag) {
   return (14695981039346656037ULL ^ tag) * 1099511628211ULL;
 }
 
-/// FNV-1a over a tag byte plus the variant bytes. Collisions are harmless
-/// (verification filters), they only waste one EditDistanceBounded call.
-uint64_t Fnv1a(uint8_t tag, std::string_view s) {
-  uint64_t h = TagSeed(tag);
-  for (char c : s) {
-    h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Recursively enumerates deletion variants; dedupes via a set (deleting
-/// different positions of repeated characters yields the same string).
-void EnumerateDeletions(const std::string& current, uint32_t remaining,
-                        size_t min_pos,
-                        std::unordered_set<std::string>& out) {
-  out.insert(current);
-  if (remaining == 0 || current.empty()) return;
-  for (size_t i = min_pos; i < current.size(); ++i) {
-    std::string next = current;
-    next.erase(i, 1);
-    // Deleting at position i then at j >= i covers all position subsets
-    // exactly once (combinations, not permutations).
-    EnumerateDeletions(next, remaining - 1, i, out);
-  }
-}
-
-/// Query-side variant of EnumerateDeletions that never materializes the
-/// variants: FNV-1a is prefix-incremental, so a keep/delete branch per
-/// character folds each surviving byte into the running hash. Appends the
-/// hash of every variant with at most `remaining` deletions (each variant
-/// exactly once; repeated characters yield duplicate hashes, deduped by
-/// the caller — equivalent to string dedup because probes are by hash).
+/// Enumerates deletion variants without materializing them: FNV-1a is
+/// prefix-incremental, so a keep/delete branch per character folds each
+/// surviving byte into the running hash. Appends the hash of every variant
+/// with at most `remaining` deletions, once per choice of deleted
+/// positions; repeated characters yield duplicate hashes (deleting either
+/// "a" of "aab" gives "ab"), which the caller dedupes.
 void EnumerateDeletionHashes(std::string_view s, size_t pos,
                              uint32_t remaining, uint64_t hash,
                              std::vector<uint64_t>& out) {
@@ -74,60 +46,41 @@ FastSsIndex::FastSsIndex() : FastSsIndex(Options()) {}
 
 FastSsIndex::FastSsIndex(Options options) : options_(options) {}
 
-std::vector<std::string> FastSsIndex::DeletionNeighborhood(
-    std::string_view word, uint32_t max_deletions) {
-  std::unordered_set<std::string> set;
-  EnumerateDeletions(std::string(word), max_deletions, 0, set);
-  return std::vector<std::string>(set.begin(), set.end());
-}
-
 uint64_t FastSsIndex::HashVariant(Tag tag, std::string_view variant) {
-  return Fnv1a(static_cast<uint8_t>(tag), variant);
+  uint64_t h = TagSeed(static_cast<uint8_t>(tag));
+  for (char c : variant) {
+    h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
+  }
+  return h;
 }
 
-void FastSsIndex::EmitNeighborhood(Tag tag, std::string_view piece,
-                                   uint32_t max_deletions, uint32_t word_id,
-                                   std::vector<Posting>& out) {
-  std::unordered_set<std::string> set;
-  EnumerateDeletions(std::string(piece), max_deletions, 0, set);
-  // Hash four independent variants per step (Fnv1aBatch4 is bit-identical
-  // to HashVariant per lane); the interleaved chains hide the per-byte
-  // multiply latency. Deletion variants are short, so the gain is modest —
-  // the batch runs on every tier (the kernel is plain interleaved scalar
-  // code everywhere; see Fnv1aBatch4) to keep scalar and vector builds on
-  // one code path. Posting order within the word is irrelevant — Build
-  // sorts the whole run afterwards.
-  const uint64_t seed = TagSeed(static_cast<uint8_t>(tag));
-  const simd::Level level = simd::ActiveLevel();
-  auto it = set.begin();
-  size_t left = set.size();
-  while (left >= 4) {
-    std::string_view batch[4];
-    for (int l = 0; l < 4; ++l) batch[l] = *it++;
-    uint64_t hashes[4];
-    simd::Fnv1aBatch4(level, seed, batch, hashes);
-    for (int l = 0; l < 4; ++l) out.push_back(Posting{hashes[l], word_id});
-    left -= 4;
-  }
-  for (; it != set.end(); ++it) {
-    out.push_back(Posting{HashVariant(tag, *it), word_id});
-  }
+void FastSsIndex::DeletionHashes(Tag tag, std::string_view piece,
+                                 uint32_t max_deletions,
+                                 std::vector<uint64_t>& out) {
+  out.clear();
+  EnumerateDeletionHashes(piece, 0, max_deletions,
+                          TagSeed(static_cast<uint8_t>(tag)), out);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-bool FastSsIndex::EmitWord(uint32_t word_id, std::vector<Posting>& out) const {
+bool FastSsIndex::EmitWord(uint32_t word_id, std::vector<uint64_t>& hashes,
+                           std::vector<Posting>& out) const {
   const uint32_t k = options_.max_ed;
-  const std::string& w = words_[word_id];
+  const std::string_view w = words_[word_id];
+  auto emit = [&](Tag tag, std::string_view piece, uint32_t deletions) {
+    DeletionHashes(tag, piece, deletions, hashes);
+    for (uint64_t hash : hashes) out.push_back(Posting{hash, word_id});
+  };
   if (k > 0 && w.size() >= options_.partition_min_length) {
     // Partitioned representation: floor(k/2)-deletion neighborhoods of
     // the two halves (left half gets the ceiling of the length split).
-    size_t h = (w.size() + 1) / 2;
-    EmitNeighborhood(Tag::kLeft, std::string_view(w).substr(0, h), k / 2,
-                     word_id, out);
-    EmitNeighborhood(Tag::kRight, std::string_view(w).substr(h), k / 2,
-                     word_id, out);
+    const size_t h = (w.size() + 1) / 2;
+    emit(Tag::kLeft, w.substr(0, h), k / 2);
+    emit(Tag::kRight, w.substr(h), k / 2);
     return true;
   }
-  EmitNeighborhood(Tag::kWhole, w, k, word_id, out);
+  emit(Tag::kWhole, w, k);
   return false;
 }
 
@@ -146,16 +99,8 @@ void FastSsIndex::Build(const std::vector<std::string>& words,
     return;
   }
 
-  auto less = [](const Posting& a, const Posting& b) {
-    return a.hash < b.hash || (a.hash == b.hash && a.word_id < b.word_id);
-  };
-
   // Shard the vocabulary into contiguous word-id ranges; each shard emits
-  // its neighborhoods into a private run and sorts it. Shard boundaries
-  // depend only on the participant count, and the runs are merged below
-  // with a total order whose only ties are bit-identical (hash, word_id)
-  // pairs (hash collisions within one word), so the final array is
-  // byte-identical for any thread count — including the serial one.
+  // its neighborhoods into a private run, in word-id order.
   const size_t participants =
       pool != nullptr ? pool->num_threads() + 1 : 1;
   const size_t num_shards = std::min(word_count, participants * 4);
@@ -165,16 +110,15 @@ void FastSsIndex::Build(const std::vector<std::string>& words,
   ParallelFor(
       pool, num_shards,
       [&](size_t begin, size_t end) {
+        std::vector<uint64_t> hashes;
         for (size_t shard = begin; shard < end; ++shard) {
           const size_t lo = shard * shard_size;
           const size_t hi = std::min(word_count, lo + shard_size);
-          std::vector<Posting>& out = runs[shard];
           for (size_t id = lo; id < hi; ++id) {
-            if (EmitWord(static_cast<uint32_t>(id), out)) {
+            if (EmitWord(static_cast<uint32_t>(id), hashes, runs[shard])) {
               shard_partitioned[shard] = 1;
             }
           }
-          std::sort(out.begin(), out.end(), less);
         }
       },
       ParallelForOptions{.min_chunk = 1, .chunks_per_thread = 2});
@@ -182,37 +126,42 @@ void FastSsIndex::Build(const std::vector<std::string>& words,
     if (flag != 0) has_partitioned_ = true;
   }
 
-  // Parallel pairwise merges of the sorted runs (log passes) instead of one
-  // serial global sort, so the merge step scales with the emit step.
-  while (runs.size() > 1) {
-    const size_t pairs = runs.size() / 2;
-    std::vector<std::vector<Posting>> next((runs.size() + 1) / 2);
-    ParallelFor(
-        pool, pairs,
-        [&](size_t begin, size_t end) {
-          for (size_t p = begin; p < end; ++p) {
-            std::vector<Posting>& a = runs[2 * p];
-            std::vector<Posting>& b = runs[2 * p + 1];
-            std::vector<Posting> merged;
-            merged.reserve(a.size() + b.size());
-            std::merge(a.begin(), a.end(), b.begin(), b.end(),
-                       std::back_inserter(merged), less);
-            next[p] = std::move(merged);
-          }
-        },
-        ParallelForOptions{.min_chunk = 1, .chunks_per_thread = 1});
-    if (runs.size() % 2 != 0) next.back() = std::move(runs.back());
-    runs = std::move(next);
+  // Counting sort on the bucket bits: the bucket directory doubles as the
+  // scatter offsets, and the runs are scattered in shard (= word-id)
+  // order. Each bucket is then sorted by (hash, word_id) — a total order
+  // whose only ties are bit-identical postings — so the array is
+  // byte-identical for every thread count, the serial build included.
+  CountBuckets(runs);
+  std::vector<uint32_t> next(bucket_start_.begin(), bucket_start_.end() - 1);
+  postings_.resize(bucket_start_.back());
+  for (std::vector<Posting>& run : runs) {
+    for (const Posting& p : run) postings_[next[BucketOf(p.hash)]++] = p;
+    run = {};
   }
-  postings_ = std::move(runs.front());
-  FinalizeBuckets();
+  ParallelFor(
+      pool, kNumBuckets,
+      [&](size_t begin, size_t end) {
+        for (size_t b = begin; b < end; ++b) {
+          std::sort(postings_.begin() + bucket_start_[b],
+                    postings_.begin() + bucket_start_[b + 1],
+                    [](const Posting& x, const Posting& y) {
+                      return x.hash < y.hash ||
+                             (x.hash == y.hash && x.word_id < y.word_id);
+                    });
+        }
+      },
+      ParallelForOptions{.min_chunk = 4096});
 }
 
-void FastSsIndex::FinalizeBuckets() {
-  XCLEAN_CHECK(postings_.size() <= UINT32_MAX);
+void FastSsIndex::FinalizeBuckets() { CountBuckets({&postings_, 1}); }
+
+void FastSsIndex::CountBuckets(std::span<const std::vector<Posting>> runs) {
+  size_t total = 0;
+  for (const std::vector<Posting>& run : runs) total += run.size();
+  XCLEAN_CHECK(total <= UINT32_MAX);
   bucket_start_.assign(kNumBuckets + 1, 0);
-  for (const Posting& p : postings_) {
-    ++bucket_start_[(p.hash >> (64 - kBucketBits)) + 1];
+  for (const std::vector<Posting>& run : runs) {
+    for (const Posting& p : run) ++bucket_start_[BucketOf(p.hash) + 1];
   }
   for (size_t b = 1; b <= kNumBuckets; ++b) {
     bucket_start_[b] += bucket_start_[b - 1];
@@ -229,7 +178,7 @@ void FastSsIndex::ProbeHash(uint64_t hash,
                             std::vector<uint32_t>& candidates) const {
   static_assert(sizeof(Posting) == 16,
                 "Posting must be a 16-byte (hash, word_id) record");
-  const size_t bucket = hash >> (64 - kBucketBits);
+  const size_t bucket = BucketOf(hash);
   const Posting* begin = postings_.data() + bucket_start_[bucket];
   const Posting* end = postings_.data() + bucket_start_[bucket + 1];
   const size_t size = static_cast<size_t>(end - begin);
@@ -254,15 +203,8 @@ void FastSsIndex::ProbeHash(uint64_t hash,
 void FastSsIndex::ProbeNeighborhood(Tag tag, std::string_view piece,
                                     uint32_t max_deletions,
                                     std::vector<uint32_t>& candidates) const {
-  // Hash-identical to hashing each materialized deletion variant with
-  // HashVariant, minus the per-variant string and set-node allocations.
   std::vector<uint64_t> hashes;
-  const uint64_t seed =
-      (14695981039346656037ULL ^ static_cast<uint8_t>(tag)) *
-      1099511628211ULL;
-  EnumerateDeletionHashes(piece, 0, max_deletions, seed, hashes);
-  std::sort(hashes.begin(), hashes.end());
-  hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
+  DeletionHashes(tag, piece, max_deletions, hashes);
   for (uint64_t hash : hashes) {
     ProbeHash(hash, candidates);
   }

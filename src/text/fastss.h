@@ -2,6 +2,7 @@
 #define XCLEAN_TEXT_FASTSS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,9 +56,9 @@ class FastSsIndex {
 
   /// Same, generating deletion neighborhoods in parallel over contiguous
   /// vocabulary shards on `pool` (nullptr = serial). The shard outputs are
-  /// merged in word-id order and sorted with a total order whose ties are
-  /// bit-identical entries, so the resulting index — and its serialized
-  /// form — is byte-identical for every thread count.
+  /// bucketed in word-id order and each bucket is sorted with a total
+  /// order whose ties are bit-identical entries, so the resulting index —
+  /// and its serialized form — is byte-identical for every thread count.
   void Build(const std::vector<std::string>& words, ThreadPool* pool);
 
   /// All indexed words within edit distance max_ed of `query`, unordered.
@@ -75,11 +76,22 @@ class FastSsIndex {
   /// Approximate resident bytes (posting array + word copies).
   uint64_t ApproxMemoryBytes() const;
 
-  /// Generates the distinct strings obtainable from `word` by deleting at
-  /// most max_deletions characters (includes the word itself). Public for
-  /// tests and benchmarks.
-  static std::vector<std::string> DeletionNeighborhood(
-      std::string_view word, uint32_t max_deletions);
+  /// Variant-hash namespaces: whole words, and the left and right halves of
+  /// partitioned words.
+  enum class Tag : uint8_t { kWhole = 0, kLeft = 1, kRight = 2 };
+
+  /// Hash of one deletion variant: FNV-1a over the tag byte and the
+  /// variant bytes. Collisions only cost a wasted verification.
+  static uint64_t HashVariant(Tag tag, std::string_view variant);
+
+  /// Replaces `out` with the sorted, distinct HashVariant(tag, v) of every
+  /// string v obtainable from `piece` by deleting at most max_deletions
+  /// characters (`piece` itself included). The variants are never
+  /// materialized. Both the build and the probe side enumerate through
+  /// this.
+  static void DeletionHashes(Tag tag, std::string_view piece,
+                             uint32_t max_deletions,
+                             std::vector<uint64_t>& out);
 
  private:
   friend struct SerializationAccess;  // index/index_io.cc
@@ -89,27 +101,28 @@ class FastSsIndex {
     uint32_t word_id;
   };
 
-  enum class Tag : uint8_t { kWhole = 0, kLeft = 1, kRight = 2 };
-
-  static uint64_t HashVariant(Tag tag, std::string_view variant);
-  static void EmitNeighborhood(Tag tag, std::string_view piece,
-                               uint32_t max_deletions, uint32_t word_id,
-                               std::vector<Posting>& out);
-  /// Emits the (possibly partitioned) neighborhood of one word into `out`;
-  /// returns true when the word used the partitioned layout.
-  bool EmitWord(uint32_t word_id, std::vector<Posting>& out) const;
+  /// Emits the (possibly partitioned) neighborhood of one word into `out`,
+  /// using `hashes` as scratch; returns true when the word used the
+  /// partitioned layout.
+  bool EmitWord(uint32_t word_id, std::vector<uint64_t>& hashes,
+                std::vector<Posting>& out) const;
   void ProbeNeighborhood(Tag tag, std::string_view piece,
                          uint32_t max_deletions,
                          std::vector<uint32_t>& candidates) const;
   void ProbeHash(uint64_t hash, std::vector<uint32_t>& candidates) const;
 
   /// Bucket directory over the top kBucketBits hash bits: probes binary-
-  /// search one bucket instead of the whole posting array. Rebuilt (not
-  /// serialized) after Build() and after deserialization.
+  /// search one bucket instead of the whole posting array. Not serialized;
+  /// deserialization recounts it from postings_ here.
   void FinalizeBuckets();
+  /// Sets the bucket directory to that of the postings in `runs`. Build()
+  /// counts its unsorted runs, so the directory doubles as the offsets of
+  /// its counting sort.
+  void CountBuckets(std::span<const std::vector<Posting>> runs);
 
   static constexpr uint32_t kBucketBits = 16;
   static constexpr size_t kNumBuckets = size_t{1} << kBucketBits;
+  static size_t BucketOf(uint64_t hash) { return hash >> (64 - kBucketBits); }
 
   Options options_;
   std::vector<std::string> words_;

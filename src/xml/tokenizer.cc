@@ -1,7 +1,8 @@
 #include "xml/tokenizer.h"
 
-#include <array>
 #include <algorithm>
+#include <array>
+#include <cstdint>
 
 #include "common/string_util.h"
 
@@ -10,7 +11,7 @@ namespace xclean {
 namespace {
 
 // Small closed-class stopword list; enough to keep glue words out of the
-// vocabulary without suppressing content terms. Sorted for binary search.
+// vocabulary without suppressing content terms.
 constexpr std::array<std::string_view, 42> kStopwords = {
     "about", "after", "all",   "also",  "and",   "are",  "been",  "before",
     "but",   "can",   "could", "did",   "for",   "from", "had",   "has",
@@ -20,19 +21,46 @@ constexpr std::array<std::string_view, 42> kStopwords = {
     "with",  "you",
 };
 
-bool IsTokenChar(char c) {
-  return IsAsciiAlnum(c) || static_cast<unsigned char>(c) >= 0x80;
+constexpr size_t kMaxStopwordLength = 7;
+
+/// A string of at most kMaxStopwordLength bytes packed into one integer:
+/// the bytes little-endian, the length in the top byte. Equal keys mean
+/// equal strings.
+constexpr uint64_t PackKey(std::string_view s) {
+  uint64_t key = uint64_t{s.size()} << 56;
+  for (size_t i = 0; i < s.size(); ++i) {
+    key |= uint64_t{static_cast<uint8_t>(s[i])} << (8 * i);
+  }
+  return key;
 }
+
+// The stopword list as sorted packed keys: the check runs for every token
+// of every indexed text node, and a binary search over integers is
+// several times cheaper than one over strings.
+constexpr auto kStopwordKeys = [] {
+  std::array<uint64_t, kStopwords.size()> keys{};
+  for (size_t i = 0; i < kStopwords.size(); ++i) {
+    keys[i] = PackKey(kStopwords[i]);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}();
+static_assert(std::all_of(kStopwords.begin(), kStopwords.end(),
+                          [](std::string_view w) {
+                            return w.size() <= kMaxStopwordLength;
+                          }));
 
 }  // namespace
 
 Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
 
 bool Tokenizer::IsStopword(std::string_view token) {
-  return std::binary_search(kStopwords.begin(), kStopwords.end(), token);
+  return token.size() <= kMaxStopwordLength &&
+         std::binary_search(kStopwordKeys.begin(), kStopwordKeys.end(),
+                            PackKey(token));
 }
 
-bool Tokenizer::Keep(const std::string& token) const {
+bool Tokenizer::Keep(std::string_view token) const {
   if (token.size() < options_.min_token_length) return false;
   if (options_.drop_numbers &&
       std::all_of(token.begin(), token.end(),
@@ -45,23 +73,11 @@ bool Tokenizer::Keep(const std::string& token) const {
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> out;
-  TokenizeInto(text, out);
+  std::string buf;
+  ForEachToken(text, buf, [&out](std::string_view token) {
+    out.emplace_back(token);
+  });
   return out;
-}
-
-void Tokenizer::TokenizeInto(std::string_view text,
-                             std::vector<std::string>& out) const {
-  out.clear();
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && !IsTokenChar(text[i])) ++i;
-    size_t start = i;
-    while (i < text.size() && IsTokenChar(text[i])) ++i;
-    if (i == start) continue;
-    std::string token(text.substr(start, i - start));
-    if (options_.lowercase) AsciiLowerInPlace(token);
-    if (Keep(token)) out.push_back(std::move(token));
-  }
 }
 
 std::string Tokenizer::NormalizeToken(std::string_view word) const {

@@ -6,6 +6,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/string_util.h"
+
 namespace xclean {
 
 /// Tokenization policy. The defaults mirror the paper's indexing rules
@@ -31,13 +33,19 @@ class Tokenizer {
  public:
   explicit Tokenizer(TokenizerOptions options = TokenizerOptions());
 
-  /// Tokens of `text`, in order, after filtering.
-  std::vector<std::string> Tokenize(std::string_view text) const;
+  /// Calls `fn(std::string_view token)` for every token of `text`, in
+  /// order, after filtering. This is the one definition of splitting and
+  /// filtering; everything else wraps it. A token is a view into `text`,
+  /// or, when lowercasing changed it, into `buf`, which the next token
+  /// overwrites: a view is valid only during its call. Reusing one `buf`
+  /// across calls (the index build does, for every text node) makes
+  /// tokenization allocation-free in steady state.
+  template <typename Fn>
+  void ForEachToken(std::string_view text, std::string& buf, Fn&& fn) const;
 
-  /// Same, reusing `out`'s capacity (cleared first). The parallel index
-  /// build tokenizes millions of nodes; reusing one vector per worker keeps
-  /// the pass allocation-free in steady state.
-  void TokenizeInto(std::string_view text, std::vector<std::string>& out) const;
+  /// Tokens of `text`, in order, after filtering, each copied into its own
+  /// string. Callers that only look tokens up use ForEachToken.
+  std::vector<std::string> Tokenize(std::string_view text) const;
 
   /// Applies normalization + filters to a single word. Returns an empty
   /// string if the word is filtered out. Used for query keywords, where
@@ -50,10 +58,40 @@ class Tokenizer {
   static bool IsStopword(std::string_view token);
 
  private:
-  bool Keep(const std::string& token) const;
+  /// ASCII alphanumerics and every byte >= 0x80. Inline (not
+  /// IsAsciiAlnum) because it runs for every byte of every indexed text.
+  static bool IsTokenChar(char c) {
+    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+           (c >= 'A' && c <= 'Z') || static_cast<unsigned char>(c) >= 0x80;
+  }
+
+  bool Keep(std::string_view token) const;
 
   TokenizerOptions options_;
 };
+
+template <typename Fn>
+void Tokenizer::ForEachToken(std::string_view text, std::string& buf,
+                             Fn&& fn) const {
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && !IsTokenChar(text[i])) ++i;
+    const size_t start = i;
+    bool upper = false;
+    while (i < text.size() && IsTokenChar(text[i])) {
+      upper |= text[i] >= 'A' && text[i] <= 'Z';
+      ++i;
+    }
+    if (i == start) continue;
+    std::string_view token = text.substr(start, i - start);
+    if (options_.lowercase && upper) {
+      buf.assign(token);
+      AsciiLowerInPlace(buf);
+      token = buf;
+    }
+    if (Keep(token)) fn(token);
+  }
+}
 
 }  // namespace xclean
 

@@ -28,14 +28,6 @@ const std::string& XmlTree::text(NodeId n) const {
   return texts_[nodes_[n].text_id];
 }
 
-std::vector<NodeId> XmlTree::TextNodes() const {
-  std::vector<NodeId> out;
-  for (NodeId n = 0; n < nodes_.size(); ++n) {
-    if (nodes_[n].text_id != kNoText) out.push_back(n);
-  }
-  return out;
-}
-
 NodeId XmlTree::FindByDewey(DeweyView d) const {
   if (d.empty() || d[0] != 1 || nodes_.empty()) return kInvalidNode;
   NodeId cur = root();

@@ -108,10 +108,6 @@ class XmlTree {
   /// Looks a node up by its Dewey code; kInvalidNode if absent.
   NodeId FindByDewey(DeweyView d) const;
 
-  /// Ids of all text-bearing nodes, in preorder. The unit of work the
-  /// parallel index build chunks over (index/index_builder.cc).
-  std::vector<NodeId> TextNodes() const;
-
   // --- Label table ------------------------------------------------------
   size_t label_count() const { return labels_.size(); }
   const std::string& label_name(LabelId id) const { return labels_[id]; }

@@ -35,18 +35,65 @@ std::vector<std::string> IndexFind(const FastSsIndex& index,
   return out;
 }
 
-TEST(FastSsTest, DeletionNeighborhoodSizeAndContent) {
-  auto n0 = FastSsIndex::DeletionNeighborhood("abc", 0);
-  EXPECT_EQ(n0, (std::vector<std::string>{"abc"}));
+/// Brute-force reference neighborhood: materializes every string obtainable
+/// from `current` by deleting at most `remaining` characters, deduplicated
+/// through the set (deleting different positions of repeated characters
+/// yields the same string).
+void EnumerateDeletions(const std::string& current, uint32_t remaining,
+                        size_t min_pos, std::set<std::string>& out) {
+  out.insert(current);
+  if (remaining == 0) return;
+  for (size_t i = min_pos; i < current.size(); ++i) {
+    std::string next = current;
+    next.erase(i, 1);
+    // Deleting at position i then at j >= i covers every position subset.
+    EnumerateDeletions(next, remaining - 1, i, out);
+  }
+}
 
-  auto n1 = FastSsIndex::DeletionNeighborhood("abc", 1);
-  std::set<std::string> s1(n1.begin(), n1.end());
-  EXPECT_EQ(s1, (std::set<std::string>{"abc", "bc", "ac", "ab"}));
+std::set<std::string> DeletionNeighborhood(const std::string& word,
+                                           uint32_t max_deletions) {
+  std::set<std::string> out;
+  EnumerateDeletions(word, max_deletions, 0, out);
+  return out;
+}
 
+TEST(FastSsTest, ReferenceNeighborhoodSizeAndContent) {
+  EXPECT_EQ(DeletionNeighborhood("abc", 0), (std::set<std::string>{"abc"}));
+  EXPECT_EQ(DeletionNeighborhood("abc", 1),
+            (std::set<std::string>{"abc", "bc", "ac", "ab"}));
   // Repeated characters dedupe: "aab" - 1 deletion -> {aab, ab, aa}.
-  auto n2 = FastSsIndex::DeletionNeighborhood("aab", 1);
-  std::set<std::string> s2(n2.begin(), n2.end());
-  EXPECT_EQ(s2, (std::set<std::string>{"aab", "ab", "aa"}));
+  EXPECT_EQ(DeletionNeighborhood("aab", 1),
+            (std::set<std::string>{"aab", "ab", "aa"}));
+}
+
+// The hash enumerator must emit exactly HashVariant(tag, v) for every
+// distinct variant v of the reference neighborhood, sorted and once each.
+TEST(FastSsTest, DeletionHashesMatchHashedReferenceNeighborhood) {
+  Rng rng(77);
+  std::vector<uint64_t> got;
+  for (int round = 0; round < 400; ++round) {
+    std::string word;
+    const size_t len = rng.Uniform(13);
+    // A 3-letter alphabet makes repeated characters (duplicate variants)
+    // the common case.
+    for (size_t i = 0; i < len; ++i) {
+      word.push_back(static_cast<char>('a' + rng.Uniform(3)));
+    }
+    const auto k = static_cast<uint32_t>(rng.Uniform(4));
+    for (FastSsIndex::Tag tag :
+         {FastSsIndex::Tag::kWhole, FastSsIndex::Tag::kLeft,
+          FastSsIndex::Tag::kRight}) {
+      std::vector<uint64_t> want;
+      for (const std::string& v : DeletionNeighborhood(word, k)) {
+        want.push_back(FastSsIndex::HashVariant(tag, v));
+      }
+      std::sort(want.begin(), want.end());
+      FastSsIndex::DeletionHashes(tag, word, k, got);
+      EXPECT_EQ(got, want) << "word=\"" << word << "\" k=" << k
+                           << " tag=" << static_cast<int>(tag);
+    }
+  }
 }
 
 TEST(FastSsTest, ExactMatchAtZero) {

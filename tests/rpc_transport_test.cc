@@ -549,6 +549,10 @@ TEST(RpcLoopbackTest, EvaluateReturnsBitExactResponse) {
   EXPECT_EQ(client.stats().requests, 1u);
   EXPECT_EQ(client.stats().responses, 1u);
   EXPECT_EQ(server.stats().requests, 1u);
+  // The server counts a response once SendAll returns, which can be after
+  // the client has already read it.
+  EXPECT_TRUE(PollUntil([&] { return server.stats().responses_sent == 1u; },
+                        std::chrono::milliseconds(3000)));
   EXPECT_EQ(server.stats().responses_sent, 1u);
   EXPECT_EQ(backend.evaluations.load(), 1u);
 }

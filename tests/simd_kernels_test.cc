@@ -350,40 +350,6 @@ TEST(SimdLowerBoundTest, LowerBoundKey64MatchesScalarAndStd) {
   }
 }
 
-// --- FNV-1a lanes ---------------------------------------------------------
-
-uint64_t Fnv1aReference(uint64_t seed, std::string_view s) {
-  uint64_t h = seed;
-  for (char c : s) {
-    h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
-  }
-  return h;
-}
-
-TEST(SimdFnvTest, Batch4MatchesReferenceFold) {
-  Rng rng(51);
-  for (int round = 0; round < 500; ++round) {
-    std::string storage[4];
-    std::string_view in[4];
-    for (int l = 0; l < 4; ++l) {
-      // Lengths deliberately uneven, including empty, so lane freezing is
-      // exercised every round.
-      storage[l] = RandomString(rng, rng.Uniform(24), 26);
-      in[l] = storage[l];
-    }
-    const uint64_t seed = rng.Next64();
-    for (simd::Level level : kAllLevels) {
-      uint64_t out[4] = {0, 0, 0, 0};
-      simd::Fnv1aBatch4(level, seed, in, out);
-      for (int l = 0; l < 4; ++l) {
-        EXPECT_EQ(out[l], Fnv1aReference(seed, in[l]))
-            << LevelName(level) << " lane " << l << " \"" << storage[l]
-            << "\"";
-      }
-    }
-  }
-}
-
 // --- posting cursor -------------------------------------------------------
 
 TEST(SimdPostingCursorTest, SkipToPositionsAgreeAcrossLevels) {

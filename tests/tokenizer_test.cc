@@ -89,5 +89,32 @@ TEST(TokenizerTest, IsStopword) {
   EXPECT_FALSE(Tokenizer::IsStopword("tree"));
 }
 
+TEST(TokenizerTest, IsStopwordIsExactOnPrefixesAndExtensions) {
+  for (std::string_view w : {"about", "after", "all", "before", "which"}) {
+    EXPECT_TRUE(Tokenizer::IsStopword(w)) << w;
+    EXPECT_FALSE(Tokenizer::IsStopword(w.substr(0, w.size() - 1))) << w;
+    EXPECT_FALSE(Tokenizer::IsStopword(std::string(w) + "s")) << w;
+    EXPECT_FALSE(Tokenizer::IsStopword(std::string(w) + '\0')) << w;
+  }
+  EXPECT_FALSE(Tokenizer::IsStopword(""));
+  EXPECT_FALSE(Tokenizer::IsStopword("The"));  // expects lowercased input
+  EXPECT_FALSE(Tokenizer::IsStopword("thereafter"));
+}
+
+TEST(TokenizerTest, ForEachTokenViewsMatchTokenizeAcrossCalls) {
+  Tokenizer t;
+  std::string buf;
+  std::vector<std::string> seen;
+  // Lowercase tokens are views into the text, mixed-case ones into `buf`;
+  // both kinds interleave here, and `buf` is reused across calls.
+  for (std::string_view text :
+       {"Tree trie ICDE icdt", "schütze Model the forest", "XML query"}) {
+    seen.clear();
+    t.ForEachToken(text, buf,
+                   [&seen](std::string_view token) { seen.emplace_back(token); });
+    EXPECT_EQ(seen, t.Tokenize(text)) << text;
+  }
+}
+
 }  // namespace
 }  // namespace xclean
