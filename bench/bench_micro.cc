@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -15,6 +16,7 @@
 #include "core/slca.h"
 #include "core/xclean.h"
 #include "data/dblp_gen.h"
+#include "data/misspell.h"
 #include "index/merged_list.h"
 #include "index/xml_index.h"
 #include "text/edit_distance.h"
@@ -165,9 +167,11 @@ void BM_FastSsFind(benchmark::State& state) {
     return idx;
   }();
   std::vector<std::string> queries = RandomWords(64, 5);
+  FastSsIndex::ProbeScratch scratch;
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index->Find(queries[i % queries.size()], ed));
+    benchmark::DoNotOptimize(
+        index->Find(queries[i % queries.size()], ed, scratch).size());
     ++i;
   }
   state.SetLabel(simd::LevelName(simd::ActiveLevel()));
@@ -180,6 +184,40 @@ BENCHMARK(BM_FastSsFind)
     ->Args({2, 1})
     ->Args({3, 0})
     ->Args({3, 1});
+
+/// Probes one rule misspelling of every vocabulary word of the shared DBLP
+/// index, in vocabulary order (shuffled:0) and through a shuffled array of
+/// references to the same queries (shuffled:1), after the shuffled-refs
+/// harness of the HAMT word benches. The gap between the two is how much
+/// the probe gains from the cache when consecutive queries share buckets.
+void BM_FastSsProbeOrder(benchmark::State& state) {
+  const XmlIndex& index = SharedDblpIndex();
+  static const std::vector<std::string>* queries = [&index] {
+    auto* out = new std::vector<std::string>();
+    Rng rng(6);
+    for (const std::string& word : index.vocabulary().tokens()) {
+      out->push_back(RuleMisspell(word, 1, rng));
+    }
+    return out;
+  }();
+  std::vector<const std::string*> refs;
+  refs.reserve(queries->size());
+  for (const std::string& q : *queries) refs.push_back(&q);
+  if (state.range(0) != 0) {
+    Rng rng(7);
+    for (size_t i = 0; i + 1 < refs.size(); ++i) {
+      std::swap(refs[i], refs[rng.Uniform(i + 1)]);
+    }
+  }
+  FastSsIndex::ProbeScratch scratch;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.fastss().Find(*refs[i], 2, scratch).size());
+    if (++i == refs.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FastSsProbeOrder)->ArgName("shuffled")->Arg(0)->Arg(1);
 
 void BM_PostingSkipTo(benchmark::State& state) {
   simd::ScopedLevel scoped(LevelForArg(state.range(0)));

@@ -55,10 +55,9 @@ class ScopedLevel {
 
 // --- Kernel primitives ----------------------------------------------------
 //
-// Shared low-level routines the per-module kernels (text/edit_distance,
-// common/varint, text/fastss, index/postings) dispatch to. Each takes the
-// tier explicitly so callers resolve ActiveLevel() once per operation, and
-// each has the scalar twin inlined as its `level == kScalar` branch.
+// Shared low-level routines the per-module kernels dispatch to. Each takes
+// the tier explicitly so callers resolve ActiveLevel() once per operation,
+// and each has the scalar twin inlined as its `level == kScalar` branch.
 
 /// Decodes `count` LEB128 varint32 values from [p, end) into out[0..count).
 /// Returns the position past the last varint, or nullptr on truncation /
@@ -68,25 +67,6 @@ class ScopedLevel {
 /// multi-byte varints fall through to the scalar decoder mid-stream.
 const char* DecodeVarint32Group(Level level, const char* p, const char* end,
                                 uint32_t* out, size_t count);
-
-/// Counts the leading records of a sorted 8-byte-stride array whose
-/// leading uint32 key is < target, scanning at most `size` records from
-/// `base`; layout matches index::Posting {uint32 node, uint32 tf}. A
-/// bounded-window scan for probes a branch predictor cannot learn;
-/// PostingCursor::SkipTo deliberately does NOT use it — its repeated skip
-/// sequences predict well enough that a branchy binary search measured
-/// ~3x faster than any narrow-then-window-scan finish.
-size_t CountKeysBelowStride8(Level level, const void* base, size_t size,
-                             uint32_t target);
-
-/// Lower-bound position of `needle` in a sorted 16-byte-stride array whose
-/// leading field is a uint64 key: the number of records with key < needle.
-/// Layout matches FastSsIndex::Posting {uint64 hash, uint32 word_id}. The
-/// scalar tier binary searches; the AVX2 tier binary-narrows to one window
-/// and finishes it gather-comparing 4 keys per step. Both return the same
-/// (unique) position.
-size_t LowerBoundKey64Stride16(Level level, const void* base, size_t size,
-                               uint64_t needle);
 
 }  // namespace xclean::simd
 

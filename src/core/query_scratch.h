@@ -24,9 +24,10 @@ class LayeredXClean;
 /// key buffer, and the AccumulatorTable backing store, plus two cross-query
 /// memo tables (variant lists per keyword, result-type choices per
 /// candidate). A warmed-up scratch makes steady-state Suggest() calls with
-/// zero heap allocation (asserted by tests/zero_alloc_test.cc for the
-/// node-type semantics; the LCA semantics still allocate inside the
-/// SLCA/ELCA computations).
+/// zero heap allocation, and a variant-memo miss allocates only the new
+/// memo entry (both asserted by tests/zero_alloc_test.cc for the node-type
+/// semantics; the LCA semantics still allocate inside the SLCA/ELCA
+/// computations).
 ///
 /// Usage: pass one instance to XClean::SuggestWithScratch /
 /// XCleanSuggester::Suggest(query, &scratch) across many queries. A scratch
@@ -154,6 +155,12 @@ class QueryScratch {
   // Cross-query memos (valid only for the bound instance).
   std::unordered_map<std::string, std::vector<Variant>> variant_cache_;
   CandidateMap<ResultTypeScorer::Choice> type_cache_;
+
+  // Variant generation on a memo miss: the FastSS probe buffers and the
+  // generated list, copied into the memo entry at its exact size. A miss
+  // then allocates only the entry itself.
+  FastSsIndex::ProbeScratch probe_;
+  std::vector<Variant> generated_;
 
   // Per-query arenas; reset (capacity retained) at the start of every run.
   std::vector<Slot> slots_;

@@ -20,11 +20,12 @@ VariantGenerator::VariantGenerator(const XmlIndex& index,
   }
 }
 
-std::vector<Variant> VariantGenerator::Generate(
-    const std::string& keyword) const {
-  std::vector<Variant> out;
+void VariantGenerator::Generate(const std::string& keyword,
+                                FastSsIndex::ProbeScratch& probe,
+                                std::vector<Variant>& out) const {
+  out.clear();
   for (const FastSsIndex::Match& m :
-       index_->fastss().Find(keyword, options_.max_ed)) {
+       index_->fastss().Find(keyword, options_.max_ed, probe)) {
     out.push_back(Variant{m.word_id, m.distance});
   }
   if (options_.include_soundex) {
@@ -47,6 +48,13 @@ std::vector<Variant> VariantGenerator::Generate(
     return a.distance < b.distance ||
            (a.distance == b.distance && a.token < b.token);
   });
+}
+
+std::vector<Variant> VariantGenerator::Generate(
+    const std::string& keyword) const {
+  FastSsIndex::ProbeScratch probe;
+  std::vector<Variant> out;
+  Generate(keyword, probe, out);
   return out;
 }
 

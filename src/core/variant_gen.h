@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "index/xml_index.h"
+#include "text/fastss.h"
 
 namespace xclean {
 
@@ -37,8 +38,13 @@ class VariantGenerator {
  public:
   VariantGenerator(const XmlIndex& index, VariantGenOptions options);
 
-  /// Variants of one observed keyword. Empty if nothing in the vocabulary
-  /// is close enough — in that case no candidate query can use this slot.
+  /// Variants of one observed keyword, written over `out`. Empty if nothing
+  /// in the vocabulary is close enough — in that case no candidate query
+  /// can use this slot. Allocation-free once `probe` and `out` are warm.
+  void Generate(const std::string& keyword, FastSsIndex::ProbeScratch& probe,
+                std::vector<Variant>& out) const;
+
+  /// Same, into a fresh vector (allocates; for callers off the hot path).
   std::vector<Variant> Generate(const std::string& keyword) const;
 
   const VariantGenOptions& options() const { return options_; }

@@ -114,8 +114,8 @@ const std::vector<Variant>& XClean::LookupVariants(
   if (scratch.variant_cache_.size() >= QueryScratch::kMaxVariantCacheEntries) {
     scratch.variant_cache_.clear();
   }
-  return scratch.variant_cache_
-      .emplace(keyword, variant_gen_.Generate(keyword))
+  variant_gen_.Generate(keyword, scratch.probe_, scratch.generated_);
+  return scratch.variant_cache_.emplace(keyword, scratch.generated_)
       .first->second;
 }
 

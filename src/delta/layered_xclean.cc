@@ -72,8 +72,8 @@ const std::vector<Variant>& LayeredXClean::LookupVariants(
   if (scratch.variant_cache_.size() >= QueryScratch::kMaxVariantCacheEntries) {
     scratch.variant_cache_.clear();
   }
-  return scratch.variant_cache_
-      .emplace(std::move(key), variant_gen_[li]->Generate(keyword))
+  variant_gen_[li]->Generate(keyword, scratch.probe_, scratch.generated_);
+  return scratch.variant_cache_.emplace(std::move(key), scratch.generated_)
       .first->second;
 }
 

@@ -302,6 +302,9 @@ Status ReadPayload(std::istream& in, uint64_t size, std::string& payload) {
 /// Private-member access hook (friended by XmlTree, XmlIndex, TypeIndex
 /// and FastSsIndex).
 struct SerializationAccess {
+  /// The FastSS section's (hash, word_id) records.
+  using FastSsStream = std::vector<FastSsIndex::HashPosting>;
+
   // --- shared validation --------------------------------------------------
 
   static Status ValidateTree(const XmlTree& tree) {
@@ -350,7 +353,8 @@ struct SerializationAccess {
     return ValidateTree(tree);
   }
 
-  static void WriteIndexV1(const XmlIndex& index, Writer& w) {
+  static void WriteIndexV1(const XmlIndex& index, const FastSsStream& fastss,
+                           Writer& w) {
     WriteTreeV1(index.tree_, w);
     // Options.
     const IndexOptions& o = index.options_;
@@ -379,19 +383,51 @@ struct SerializationAccess {
     w.U64(index.total_tokens_);
     w.U32(index.text_node_count_);
     w.U64(index.source_bytes_);
-    // FastSS postings (words are the vocabulary, not re-stored). Posting
-    // carries 4 tail padding bytes; emit them as explicit zeros — the same
-    // 16-byte layout PodVec reads back — so saved bytes never depend on
+    // FastSS postings (words are the vocabulary, not re-stored), as 16-byte
+    // (hash, word_id, zero pad) records — the layout PodVec reads back.
+    // The pad is written as explicit zeros so saved bytes never depend on
     // heap garbage and equal-index saves are byte-identical (the
     // determinism tests compare snapshots of parallel vs serial builds).
-    static_assert(sizeof(FastSsIndex::Posting) == 16);
-    w.U64(index.fastss_.postings_.size());
-    for (const FastSsIndex::Posting& p : index.fastss_.postings_) {
+    static_assert(sizeof(FastSsIndex::HashPosting) == 16);
+    w.U64(fastss.size());
+    for (const FastSsIndex::HashPosting& p : fastss) {
       w.U64(p.hash);
       w.U32(p.word_id);
       w.U32(0);
     }
     w.Bool(index.fastss_.has_partitioned_);
+  }
+
+  /// The FastSS section's (hash, word_id) stream, rebuilt from the
+  /// vocabulary: the in-memory postings keep only 48 hash bits. Refuses
+  /// when the rebuilt stream does not project to the loaded postings, so a
+  /// save never writes bytes other than the index it was given.
+  static Status RebuildFastSsStream(const XmlIndex& index,
+                                    FastSsStream& stream) {
+    if (!index.fastss_.SerializedPostings(stream)) {
+      return Status::InvalidArgument(
+          "index FastSS postings differ from its vocabulary's neighborhoods; "
+          "refusing to save");
+    }
+    return Status::Ok();
+  }
+
+  /// Validates a loaded (hash, word_id) stream and installs its 8-byte
+  /// projection.
+  static Status InstallFastSs(FastSsStream stream, bool has_partitioned,
+                              FastSsIndex& fs) {
+    const uint64_t word_count = fs.words_.size();
+    for (const FastSsIndex::HashPosting& p : stream) {
+      if (p.word_id >= word_count) {
+        return SectionError(Section::kFastSs, "posting out of range");
+      }
+    }
+    FastSsIndex::Runs runs;
+    runs.push_back(std::move(stream));
+    fs.AssignPostings(runs, nullptr);
+    fs.has_partitioned_ = has_partitioned;
+    fs.built_ = true;
+    return Status::Ok();
   }
 
   static Result<std::unique_ptr<XmlIndex>> ReadIndexV1(Reader& r) {
@@ -467,14 +503,12 @@ struct SerializationAccess {
     fs_options.partition_min_length = options.fastss_partition_min_length;
     FastSsIndex fs(fs_options);
     fs.words_ = tokens;
-    if (!(s = r.PodVec(fs.postings_)).ok()) return s;
-    if (!(s = r.Bool(fs.has_partitioned_)).ok()) return s;
-    fs.FinalizeBuckets();
-    fs.built_ = true;
-    for (const FastSsIndex::Posting& p : fs.postings_) {
-      if (p.word_id >= tokens.size()) {
-        return Status::ParseError("index file: FastSS posting out of range");
-      }
+    FastSsStream stream;
+    bool has_partitioned = false;
+    if (!(s = r.PodVec(stream)).ok()) return s;
+    if (!(s = r.Bool(has_partitioned)).ok()) return s;
+    if (!(s = InstallFastSs(std::move(stream), has_partitioned, fs)).ok()) {
+      return s;
     }
     index->fastss_ = std::move(fs);
 
@@ -783,13 +817,13 @@ struct SerializationAccess {
     return Status::Ok();
   }
 
-  static void WriteFastSsV2(const XmlIndex& index, Writer& w) {
+  static void WriteFastSsV2(const XmlIndex& index, const FastSsStream& fastss,
+                            Writer& w) {
     // Postings are sorted by (hash, word_id); hashes delta-encode to a few
     // bytes instead of eight. Words are the vocabulary, not re-stored.
-    const auto& postings = index.fastss_.postings_;
-    w.Var64(postings.size());
+    w.Var64(fastss.size());
     uint64_t prev_hash = 0;
-    for (const FastSsIndex::Posting& p : postings) {
+    for (const FastSsIndex::HashPosting& p : fastss) {
       w.Var64(p.hash - prev_hash);
       w.Var32(p.word_id);
       prev_hash = p.hash;
@@ -811,25 +845,23 @@ struct SerializationAccess {
     if (count > r.remaining()) {
       return SectionError(Section::kFastSs, "truncated");
     }
-    fs.postings_.reserve(count);
+    FastSsStream stream;
+    stream.reserve(count);
     uint64_t hash = 0;
-    const uint64_t word_count = fs.words_.size();
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t delta = 0;
       uint32_t word_id = 0;
       if (!(s = r.Var64(delta)).ok()) return s;
       if (!(s = r.Var32(word_id)).ok()) return s;
       hash += delta;
-      if (word_id >= word_count) {
-        return SectionError(Section::kFastSs, "posting out of range");
-      }
-      fs.postings_.push_back(FastSsIndex::Posting{hash, word_id});
+      stream.push_back(FastSsIndex::HashPosting{hash, word_id});
     }
     uint32_t has_partitioned = 0;
     if (!(s = r.Var32(has_partitioned)).ok()) return s;
-    fs.has_partitioned_ = has_partitioned != 0;
-    fs.FinalizeBuckets();
-    fs.built_ = true;
+    if (!(s = InstallFastSs(std::move(stream), has_partitioned != 0, fs))
+             .ok()) {
+      return s;
+    }
     index.fastss_ = std::move(fs);
     return Status::Ok();
   }
@@ -955,13 +987,17 @@ Status SaveIndex(const XmlIndex& index, std::ostream& out,
         StrFormat("cannot write index format version %u",
                   options.format_version));
   }
+  // Rebuilt before the first byte goes out, so a refusal writes nothing.
+  SerializationAccess::FastSsStream fastss;
+  Status s = SerializationAccess::RebuildFastSsStream(index, fastss);
+  if (!s.ok()) return s;
   out.write(kMagic, sizeof(kMagic));
   uint32_t version = options.format_version;
   out.write(reinterpret_cast<const char*>(&version), sizeof(version));
 
   if (version == kIndexFormatV1) {
     Writer writer;
-    SerializationAccess::WriteIndexV1(index, writer);
+    SerializationAccess::WriteIndexV1(index, fastss, writer);
     const std::string& payload = writer.buffer();
     uint64_t size = payload.size();
     out.write(reinterpret_cast<const char*>(&size), sizeof(size));
@@ -1001,7 +1037,7 @@ Status SaveIndex(const XmlIndex& index, std::ostream& out,
     }
     {
       Writer w;
-      SerializationAccess::WriteFastSsV2(index, w);
+      SerializationAccess::WriteFastSsV2(index, fastss, w);
       EmitSection(out, Section::kFastSs, w);
     }
   }

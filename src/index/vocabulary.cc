@@ -41,6 +41,12 @@ TokenId Vocabulary::Intern(std::string_view token) {
   return slot.id;
 }
 
+uint64_t Vocabulary::ApproxMemoryBytes() const {
+  uint64_t bytes = slots_.size() * sizeof(Slot);
+  for (const std::string& s : tokens_) bytes += sizeof(std::string) + s.size();
+  return bytes;
+}
+
 TokenId Vocabulary::Find(std::string_view token) const {
   if (slots_.empty()) return kInvalidToken;
   return slots_[Probe(token, Hash(token))].id;

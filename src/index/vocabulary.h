@@ -37,6 +37,9 @@ class Vocabulary {
   /// All tokens in id order (used to build the FastSS index).
   const std::vector<std::string>& tokens() const { return tokens_; }
 
+  /// Approximate resident bytes: the token strings and the slot table.
+  uint64_t ApproxMemoryBytes() const;
+
  private:
   /// One open-addressing slot: a token id and the low 32 bits of the
   /// token's hash, compared before the string and reused on growth.

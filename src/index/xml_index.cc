@@ -18,10 +18,7 @@ uint64_t XmlIndex::ApproxMemoryBytes() const {
   for (TokenId t = 0; t < type_index_.token_count(); ++t) {
     bytes += type_index_.list(t).size() * sizeof(PathFreq);
   }
-  for (const std::string& s : vocabulary_.tokens()) {
-    // Token stored once in the vector and once as a map key.
-    bytes += 2 * (sizeof(std::string) + s.size()) + sizeof(TokenId);
-  }
+  bytes += vocabulary_.ApproxMemoryBytes();
   bytes += cf_.capacity() * sizeof(uint64_t) +
            df_.capacity() * sizeof(uint32_t) +
            node_tokens_.capacity() * sizeof(uint32_t) +

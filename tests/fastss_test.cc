@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +12,23 @@
 #include "text/edit_distance.h"
 
 namespace xclean {
+
+/// Reads the posting layout the probe relies on.
+struct FastSsIndexPeer {
+  using Posting = FastSsIndex::Posting;
+
+  static size_t BucketCount() { return FastSsIndex::kNumBuckets; }
+  static size_t BucketOf(uint64_t hash) { return FastSsIndex::BucketOf(hash); }
+  static Posting Project(uint64_t hash, uint32_t word_id) {
+    return Posting{FastSsIndex::FingerprintOf(hash), word_id};
+  }
+  /// The postings of bucket b, in stored order.
+  static std::vector<Posting> Bucket(const FastSsIndex& index, size_t b) {
+    return {index.postings_.begin() + index.bucket_start_[b],
+            index.postings_.begin() + index.bucket_start_[b + 1]};
+  }
+};
+
 namespace {
 
 std::vector<std::string> BruteForce(const std::vector<std::string>& words,
@@ -94,6 +112,74 @@ TEST(FastSsTest, DeletionHashesMatchHashedReferenceNeighborhood) {
                            << " tag=" << static_cast<int>(tag);
     }
   }
+}
+
+/// The 8-byte layout, pinned against the reference neighborhoods: bucket b
+/// holds exactly the (fingerprint, word) projections of the variant hashes
+/// whose top bits are b, sorted by (fp, word_id), and the posting count is
+/// the sum of the reference neighborhood sizes.
+TEST(FastSsTest, BucketsHoldSortedProjectionsOfReferenceNeighborhoods) {
+  using Peer = FastSsIndexPeer;
+  const FastSsIndex::Options options{2, 9};
+  Rng rng(2024);
+  std::set<std::string> vocab_set;
+  while (vocab_set.size() < 400) {
+    std::string w;
+    const size_t len = 3 + rng.Uniform(12);
+    for (size_t i = 0; i < len; ++i) {
+      w.push_back(static_cast<char>('a' + rng.Uniform(6)));
+    }
+    vocab_set.insert(w);
+  }
+  std::vector<std::string> vocab(vocab_set.begin(), vocab_set.end());
+  FastSsIndex index(options);
+  index.Build(vocab);
+
+  std::map<size_t, std::vector<Peer::Posting>> want;
+  size_t reference_size = 0;
+  auto add = [&](FastSsIndex::Tag tag, const std::string& piece,
+                 uint32_t deletions, uint32_t id) {
+    for (const std::string& v : DeletionNeighborhood(piece, deletions)) {
+      const uint64_t hash = FastSsIndex::HashVariant(tag, v);
+      want[Peer::BucketOf(hash)].push_back(Peer::Project(hash, id));
+      ++reference_size;
+    }
+  };
+  for (uint32_t id = 0; id < vocab.size(); ++id) {
+    const std::string& w = vocab[id];
+    if (w.size() >= options.partition_min_length) {
+      const size_t h = (w.size() + 1) / 2;
+      add(FastSsIndex::Tag::kLeft, w.substr(0, h), options.max_ed / 2, id);
+      add(FastSsIndex::Tag::kRight, w.substr(h), options.max_ed / 2, id);
+    } else {
+      add(FastSsIndex::Tag::kWhole, w, options.max_ed, id);
+    }
+  }
+  EXPECT_EQ(index.posting_count(), reference_size);
+
+  size_t seen = 0;
+  for (size_t b = 0; b < Peer::BucketCount(); ++b) {
+    const std::vector<Peer::Posting> got = Peer::Bucket(index, b);
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "bucket " << b;
+    std::vector<Peer::Posting> expected;
+    if (auto it = want.find(b); it != want.end()) expected = it->second;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(got, expected) << "bucket " << b;
+    seen += got.size();
+  }
+  EXPECT_EQ(seen, index.posting_count());
+}
+
+/// The memory figure is exact: 8 bytes per posting, the 65,537-entry
+/// bucket directory, and each word's copy.
+TEST(FastSsTest, ApproxMemoryBytesCountsPostingsDirectoryAndWords) {
+  FastSsIndex index(FastSsIndex::Options{1, 13});
+  index.Build({"tree", "trie", "icde"});
+  // Del_1: tree -> {tree, ree, tee, tre}; trie -> {trie, rie, tie, tre,
+  // tri}; icde -> {icde, cde, ide, ice, icd}.
+  ASSERT_EQ(index.posting_count(), 14u);
+  EXPECT_EQ(index.ApproxMemoryBytes(),
+            14 * 8 + 65537 * 4 + 3 * (sizeof(std::string) + 4));
 }
 
 TEST(FastSsTest, ExactMatchAtZero) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/random.h"
 #include "core/xclean.h"
 #include "data/dblp_gen.h"
 #include "xml/parser.h"
@@ -304,6 +307,90 @@ TEST(IndexIoTest, V2LoadSaveIsByteStable) {
   std::string bytes = SaveToString(*original);
   auto loaded = LoadFromString(bytes);
   EXPECT_EQ(SaveToString(*loaded), bytes);
+}
+
+// A loaded index keeps only the 8-byte projection of the FastSS section;
+// its probes must find exactly what the built index finds, from either
+// format. Every vocabulary word is probed with one random edit.
+TEST(IndexIoTest, LoadedFastSsFindsWhatTheBuiltIndexFinds) {
+  DblpGenOptions gen;
+  gen.num_publications = 300;
+  IndexOptions options;
+  // Partition the longer words too, so the split probes are exercised.
+  options.fastss_partition_min_length = 9;
+  auto built = XmlIndex::Build(GenerateDblp(gen), options);
+  ASSERT_TRUE(built->fastss().size() > 100);
+  auto v1 = LoadFromString(SaveToString(
+      *built, IndexSaveOptions{.format_version = kIndexFormatV1}));
+  auto v2 = LoadFromString(SaveToString(*built));
+
+  auto same = [](const std::vector<FastSsIndex::Match>& a,
+                 const std::vector<FastSsIndex::Match>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(),
+                      [](const FastSsIndex::Match& x,
+                         const FastSsIndex::Match& y) {
+                        return x.word_id == y.word_id &&
+                               x.distance == y.distance;
+                      });
+  };
+  Rng rng(99);
+  size_t matched = 0;
+  for (const std::string& word : built->vocabulary().tokens()) {
+    std::string query = word;
+    const size_t pos = rng.Uniform(query.size() + 1);
+    const char c = static_cast<char>('a' + rng.Uniform(26));
+    switch (rng.Uniform(3)) {
+      case 0:
+        query.insert(query.begin() + pos, c);
+        break;
+      case 1:
+        if (pos < query.size()) query.erase(pos, 1);
+        break;
+      default:
+        if (pos < query.size()) query[pos] = c;
+        break;
+    }
+    const auto want = built->fastss().Find(query, 2);
+    EXPECT_TRUE(same(v1->fastss().Find(query, 2), want)) << query;
+    EXPECT_TRUE(same(v2->fastss().Find(query, 2), want)) << query;
+    matched += want.empty() ? 0 : 1;
+  }
+  // One edit stays within distance 2 of the word it came from.
+  EXPECT_EQ(matched, built->vocabulary().size());
+}
+
+// The FastSS section is rebuilt from the vocabulary at save time. A loaded
+// file whose postings are not that rebuild (here: one posting's word id
+// rewritten, checksum fixed up) still loads, but saving it is refused and
+// writes nothing.
+TEST(IndexIoTest, SaveRefusesFastSsPostingsItWouldNotHaveWritten) {
+  auto original = BuildSample();
+  std::string bytes = SaveToString(
+      *original, IndexSaveOptions{.format_version = kIndexFormatV1});
+  // v1 tail: ... last posting {u64 hash, u32 word_id, u32 pad},
+  // u32 has_partitioned, u64 checksum.
+  const size_t word_id_at = bytes.size() - 8 - 4 - 16 + 8;
+  uint32_t word_id = 0;
+  std::memcpy(&word_id, bytes.data() + word_id_at, sizeof(word_id));
+  word_id = word_id == 0 ? 1 : 0;
+  std::memcpy(bytes.data() + word_id_at, &word_id, sizeof(word_id));
+  const size_t payload_start = 6 + 4 + 8;
+  uint64_t checksum = 14695981039346656037ULL;
+  for (size_t i = payload_start; i < bytes.size() - 8; ++i) {
+    checksum = (checksum ^ static_cast<uint8_t>(bytes[i])) * 1099511628211ULL;
+  }
+  std::memcpy(bytes.data() + bytes.size() - 8, &checksum, sizeof(checksum));
+
+  auto loaded = LoadFromString(bytes);
+  ASSERT_NE(loaded, nullptr);
+  for (uint32_t version : {kIndexFormatV1, kIndexFormatLatest}) {
+    std::ostringstream out;
+    const Status s =
+        SaveIndex(*loaded, out, IndexSaveOptions{.format_version = version});
+    EXPECT_FALSE(s.ok()) << "format v" << version;
+    EXPECT_TRUE(out.str().empty()) << "format v" << version;
+  }
 }
 
 }  // namespace

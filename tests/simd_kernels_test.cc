@@ -271,85 +271,6 @@ TEST(SimdVarintTest, PublicGroupEntryPointMatchesScalar) {
   }
 }
 
-// --- window scan / lower bound --------------------------------------------
-
-TEST(SimdWindowScanTest, CountKeysBelowMatchesScalarOnSortedRecords) {
-  Rng rng(31);
-  for (int round = 0; round < 400; ++round) {
-    const size_t size = rng.Uniform(40);
-    std::vector<Posting> recs(size);
-    uint32_t key = 0;
-    for (size_t i = 0; i < size; ++i) {
-      key += static_cast<uint32_t>(rng.Uniform(5));  // duplicates allowed
-      recs[i] = Posting{key, static_cast<uint32_t>(rng.Next64())};
-    }
-    // Targets around every key plus extremes (0, max) probe each boundary.
-    std::vector<uint32_t> targets{0, 1, key, key + 1, 0xFFFFFFFFu};
-    for (size_t i = 0; i < size; ++i) targets.push_back(recs[i].node);
-    for (uint32_t target : targets) {
-      const size_t want =
-          simd::CountKeysBelowStride8(simd::Level::kScalar, recs.data(),
-                                      recs.size(), target);
-      for (simd::Level level : kAllLevels) {
-        EXPECT_EQ(simd::CountKeysBelowStride8(level, recs.data(), recs.size(),
-                                              target),
-                  want)
-            << LevelName(level) << " size=" << size << " target=" << target;
-      }
-    }
-  }
-}
-
-struct HashRecord {
-  uint64_t hash;
-  uint32_t word_id;
-  uint32_t pad;
-};
-static_assert(sizeof(HashRecord) == 16, "kernel assumes 16-byte stride");
-
-TEST(SimdLowerBoundTest, LowerBoundKey64MatchesScalarAndStd) {
-  Rng rng(41);
-  for (int round = 0; round < 400; ++round) {
-    const size_t size = rng.Uniform(48);
-    std::vector<uint64_t> keys(size);
-    for (size_t i = 0; i < size; ++i) {
-      // Mix small keys, sign-bit-set keys, and duplicates: the AVX2 tier
-      // compares unsigned via a sign flip, which these would expose.
-      switch (rng.Uniform(3)) {
-        case 0:
-          keys[i] = rng.Uniform(16);
-          break;
-        case 1:
-          keys[i] = rng.Next64() | 0x8000000000000000ull;
-          break;
-        default:
-          keys[i] = rng.Next64();
-          break;
-      }
-    }
-    std::sort(keys.begin(), keys.end());
-    std::vector<HashRecord> recs(size);
-    for (size_t i = 0; i < size; ++i) {
-      recs[i] = HashRecord{keys[i], static_cast<uint32_t>(i), 0};
-    }
-    std::vector<uint64_t> needles{0, 1, ~uint64_t{0}, 0x8000000000000000ull};
-    for (size_t i = 0; i < size; ++i) {
-      needles.push_back(keys[i]);
-      needles.push_back(keys[i] + 1);
-    }
-    for (uint64_t needle : needles) {
-      const size_t want = static_cast<size_t>(
-          std::lower_bound(keys.begin(), keys.end(), needle) - keys.begin());
-      for (simd::Level level : kAllLevels) {
-        EXPECT_EQ(simd::LowerBoundKey64Stride16(level, recs.data(),
-                                                recs.size(), needle),
-                  want)
-            << LevelName(level) << " size=" << size << " needle=" << needle;
-      }
-    }
-  }
-}
-
 // --- posting cursor -------------------------------------------------------
 
 TEST(SimdPostingCursorTest, SkipToPositionsAgreeAcrossLevels) {

@@ -24,6 +24,18 @@ TEST(VocabularyTest, FindAndContains) {
   EXPECT_FALSE(v.Contains("missing"));
 }
 
+// Each token once (no map key copy), plus the slot table: 16 slots of 8
+// bytes until the ninth token doubles it.
+TEST(VocabularyTest, ApproxMemoryBytesCountsTokensAndSlotTable) {
+  Vocabulary v;
+  EXPECT_EQ(v.ApproxMemoryBytes(), 0u);
+  v.Intern("alpha");
+  v.Intern("beta");
+  v.Intern("alpha");
+  EXPECT_EQ(v.ApproxMemoryBytes(),
+            16 * 8 + 2 * sizeof(std::string) + 5 + 4);
+}
+
 TEST(VocabularyTest, TokenLookup) {
   Vocabulary v;
   TokenId a = v.Intern("alpha");

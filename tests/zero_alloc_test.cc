@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/naive.h"
 #include "core/query_scratch.h"
 #include "core/suggester.h"
+#include "core/variant_gen.h"
 #include "core/xclean.h"
 #include "data/dblp_gen.h"
 #include "alloc_probe.h"
@@ -131,6 +133,67 @@ TEST(ZeroAllocTest, SuggestWithBudgetAttachedDoesNotAllocate) {
     }
   }
   EXPECT_EQ(probe.allocations(), 0u);
+}
+
+/// A variant-memo miss allocates the memo entry (its key, its vector and
+/// its node) and nothing else: the FastSS probe and variant generation
+/// run in the scratch's own buffers. Two XClean instances take turns on
+/// one scratch; each hand-over drops the memo tables (keeping their
+/// capacity), so every keyword of a pass misses the variant memo while
+/// every arena is already warm. Each query ends in a keyword with no
+/// variants, which empties the candidate space before any result-type
+/// computation (a result-type memo miss allocates on its own).
+TEST(ZeroAllocTest, VariantMemoMissAllocatesOnlyTheMemoEntry) {
+  auto index = Corpus();
+  XCleanOptions options;
+  options.semantics = Semantics::kNodeType;
+  XClean first(*index, options);
+  XClean second(*index, options);
+  std::vector<Query> queries;
+  for (const char* keyword : {"algoritm", "tree", "indexing", "wilson",
+                              "parralel", "databse", "optimizaton"}) {
+    queries.push_back(ParseQuery(std::string(keyword) + " qqqqqqqq",
+                                 index->tokenizer()));
+  }
+
+  QueryScratch scratch;
+  std::vector<Suggestion> out;
+  auto pass = [&](const XClean& algorithm) {
+    for (const Query& query : queries) {
+      algorithm.SuggestWithScratch(query, scratch, &out, nullptr);
+    }
+  };
+  for (int round = 0; round < 2; ++round) {
+    pass(first);
+    pass(second);
+  }
+  pass(first);
+
+  // What inserting each distinct keyword's entry costs on its own, into a
+  // map whose buckets are already allocated.
+  VariantGenerator generator(*index, VariantGenOptions{options.max_ed});
+  std::unordered_map<std::string, std::vector<Variant>> memo;
+  memo.reserve(64);
+  uint64_t entry_allocations = 0;
+  size_t with_variants = 0;
+  for (const Query& query : queries) {
+    for (const std::string& keyword : query.keywords) {
+      if (memo.count(keyword) != 0) continue;
+      std::vector<Variant> variants = generator.Generate(keyword);
+      with_variants += variants.empty() ? 0 : 1;
+      testing::AllocProbe entry;
+      memo.emplace(keyword, variants);
+      entry_allocations += entry.allocations();
+    }
+  }
+  ASSERT_EQ(with_variants, queries.size())
+      << "every leading keyword needs variants, or the probe is not tested";
+
+  testing::AllocProbe probe;
+  pass(second);
+  EXPECT_EQ(scratch.variant_cache_entries(), memo.size());
+  EXPECT_LE(probe.allocations(), entry_allocations);
+  EXPECT_TRUE(out.empty());
 }
 
 /// Sanity-check the probe itself: a heap allocation in the probed region
