@@ -168,7 +168,7 @@ double Percentile(std::vector<double> samples, double p) {
 class StragglerBackend : public ShardBackend {
  public:
   StragglerBackend(uint32_t shard_id,
-                   std::shared_ptr<const delta::LayeredXClean> engine,
+                   std::shared_ptr<const XClean> engine,
                    std::chrono::milliseconds delay, uint32_t period)
       : delay_(delay), period_(period), server_(shard_id, engine, kGeneration) {}
 

@@ -55,6 +55,17 @@ struct PartialCandidate {
   PathId result_type = XmlTree::kInvalidPath;
 };
 
+/// One scored candidate at final-ranking time; `key` points into the
+/// accumulator table's key pool (stable until the table changes).
+struct RankedCandidate {
+  double score;
+  double error_weight;
+  uint32_t entity_count;
+  PathId result_type;
+  const TokenId* key;
+  uint32_t key_len;
+};
+
 /// The paper's bounded in-memory accumulator table (Sec. V-D): at most
 /// gamma candidate queries hold score accumulators. When a new candidate
 /// arrives and the table is full, the victim is the candidate whose

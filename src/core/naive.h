@@ -6,6 +6,7 @@
 
 #include "core/query.h"
 #include "core/xclean.h"
+#include "lm/language_model.h"
 
 namespace xclean {
 

@@ -15,19 +15,15 @@
 
 namespace xclean {
 
-namespace delta {
-class LayeredXClean;
-}  // namespace delta
-
 /// Reusable per-query arena for the XClean hot path: owns the merged-list
 /// heads and heap storage, the per-slot occurrence buffers, the candidate
 /// key buffer, and the AccumulatorTable backing store, plus two cross-query
-/// memo tables (variant lists per keyword, result-type choices per
-/// candidate). A warmed-up scratch makes steady-state Suggest() calls with
-/// zero heap allocation, and a variant-memo miss allocates only the new
+/// memo tables (variant lists per (layer, keyword), result-type choices
+/// per candidate). A warmed-up scratch makes steady-state Suggest() calls
+/// with zero heap allocation, and a memo miss allocates at most the new
 /// memo entry (both asserted by tests/zero_alloc_test.cc for the node-type
-/// semantics; the LCA semantics still allocate inside the SLCA/ELCA
-/// computations).
+/// semantics, over one index and over a layer stack; the LCA semantics
+/// still allocate inside the SLCA/ELCA computations).
 ///
 /// Usage: pass one instance to XClean::SuggestWithScratch /
 /// XCleanSuggester::Suggest(query, &scratch) across many queries. A scratch
@@ -50,26 +46,29 @@ class QueryScratch {
   void Clear() { *this = QueryScratch(); }
 
   /// Cross-query memo sizes (diagnostics / tests).
-  size_t variant_cache_entries() const { return variant_cache_.size(); }
+  size_t variant_cache_entries() const {
+    size_t n = 0;
+    for (const auto& layer : variant_cache_) n += layer.size();
+    return n;
+  }
   size_t type_cache_entries() const { return type_cache_.size(); }
 
-  /// Caps on the cross-query memo tables: when one outgrows its cap at the
-  /// start of a query it is dropped wholesale and re-warmed by subsequent
-  /// queries. Bounds the footprint of a long-lived (e.g. thread_local)
-  /// scratch without per-entry LRU bookkeeping.
+  /// Caps on the cross-query memo tables (the variant cap is per layer):
+  /// when one outgrows its cap it is dropped wholesale and re-warmed by
+  /// subsequent queries. Bounds the footprint of a long-lived (e.g.
+  /// thread_local) scratch without per-entry LRU bookkeeping.
   static constexpr size_t kMaxVariantCacheEntries = 8192;
   static constexpr size_t kMaxTypeCacheEntries = 1u << 17;
 
-  /// Process-unique epoch source shared by every algorithm that binds
-  /// scratches (XClean and delta::LayeredXClean). A single counter
-  /// guarantees two algorithm instances can never collide on an epoch, so
-  /// a scratch handed from one to the other always detects the change and
-  /// drops its memo tables. 0 is reserved for "unbound".
+  /// Process-unique epoch source for the XClean instances that bind
+  /// scratches. Two instances never share an epoch, so a scratch handed
+  /// from one to the other (an index hot-swap, a new live-index snapshot)
+  /// always detects the change and drops its memo tables. 0 is reserved
+  /// for "unbound".
   static uint64_t NextEpoch();
 
  private:
   friend class XClean;
-  friend class delta::LayeredXClean;
 
   /// One occurrence of a variant inside the current subtree.
   struct OccInfo {
@@ -138,23 +137,16 @@ class QueryScratch {
     std::vector<uint32_t> agg_depth;
   };
 
-  /// One scored candidate at final-ranking time; `key` points into the
-  /// accumulator table's key pool (stable until the next query).
-  struct FinalEntry {
-    double score;
-    double error_weight;
-    uint32_t entity_count;
-    PathId result_type;
-    const TokenId* key;
-    uint32_t key_len;
-  };
-
   /// Epoch of the XClean instance the memo tables belong to; 0 = unbound.
   uint64_t bound_epoch_ = 0;
 
-  // Cross-query memos (valid only for the bound instance).
-  std::unordered_map<std::string, std::vector<Variant>> variant_cache_;
+  // Cross-query memos (valid only for the bound instance). The variant
+  // memo holds one table per layer of that instance.
+  std::vector<std::unordered_map<std::string, std::vector<Variant>>>
+      variant_cache_;
   CandidateMap<ResultTypeScorer::Choice> type_cache_;
+  // FindResultType's intersection cursors on a result-type memo miss.
+  ResultTypeScorer::Buffers type_buffers_;
 
   // Variant generation on a memo miss: the FastSS probe buffers and the
   // generated list, copied into the memo entry at its exact size. A miss
@@ -171,7 +163,7 @@ class QueryScratch {
   std::vector<const std::vector<EntityAgg>*> agg_lists_;
   std::vector<size_t> agg_pos_;
   std::vector<std::vector<NodeId>> witness_lists_;
-  std::vector<FinalEntry> finals_;
+  std::vector<RankedCandidate> finals_;
 };
 
 }  // namespace xclean

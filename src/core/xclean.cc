@@ -1,6 +1,7 @@
 #include "core/xclean.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/fault_injection.h"
@@ -26,23 +27,70 @@ uint64_t SumTfInRange(const OccVec& occ, NodeId lo, NodeId hi) {
 
 }  // namespace
 
-XClean::XClean(const XmlIndex& index, XCleanOptions options)
-    : index_(&index),
-      options_(options),
-      variant_gen_(index,
-                   VariantGenOptions{options.max_ed, options.include_soundex}),
-      error_model_(options.beta),
-      language_model_(index, options.mu),
-      type_scorer_(index, options.reduction),
-      epoch_(QueryScratch::NextEpoch()),
-      own_scratch_(std::make_unique<QueryScratch>()) {
-  if (options_.lm_stats_cache) {
-    lm_stats_ = std::make_unique<LmStatsCache>(index, options_.mu);
+Status ValidateLayeredOptions(const XCleanOptions& options) {
+  if (options.min_depth < 2) {
+    return Status::InvalidArgument(
+        "layered evaluation requires min_depth >= 2 (document locality)");
   }
+  if (options.entity_prior) {
+    return Status::InvalidArgument(
+        "layered evaluation does not support an entity_prior");
+  }
+  return Status::Ok();
+}
+
+bool LayerView::IsDead(NodeId n) const {
+  if (dead.empty()) return false;
+  auto it = std::partition_point(dead.begin(), dead.end(),
+                                 [n](const DeadRange& r) { return r.end < n; });
+  return it != dead.end() && it->begin <= n;
+}
+
+CollectionView CollectionView::Of(const XmlIndex& index) {
+  CollectionView c;
+  c.type_lists.index = &index.type_index();
+  c.path_depths = index.tree().path_depths();
+  c.path_node_counts = index.tree().path_node_counts();
+  c.vocabulary = &index.vocabulary();
+  return c;
+}
+
+XClean::XClean(XCleanOptions options, CollectionView collection,
+               std::shared_ptr<const void> owner)
+    : options_(std::move(options)),
+      collection_(collection),
+      owner_(std::move(owner)),
+      error_model_(options_.beta),
+      type_scorer_(collection.type_lists, collection.path_depths,
+                   options_.reduction),
+      epoch_(QueryScratch::NextEpoch()) {
   edit_weight_.reserve(options_.max_ed + 1);
   for (uint32_t d = 0; d <= options_.max_ed; ++d) {
     edit_weight_.push_back(error_model_.Weight(d));
   }
+}
+
+XClean::XClean(const XmlIndex& index, XCleanOptions options)
+    : XClean(std::move(options), CollectionView::Of(index), nullptr) {
+  own_lm_ = std::make_unique<LmStatsCache>(index, options_.mu);
+  AddLayer(LayerView{&index, {}, {}, {}, own_lm_.get()});
+}
+
+XClean::XClean(std::vector<LayerView> layers, CollectionView collection,
+               XCleanOptions options, std::shared_ptr<const void> owner)
+    : XClean(std::move(options), collection, std::move(owner)) {
+  XCLEAN_CHECK(!layers.empty());
+  XCLEAN_CHECK(ValidateLayeredOptions(options_).ok());
+  layers_.reserve(layers.size());
+  variant_gen_.reserve(layers.size());
+  for (LayerView& layer : layers) AddLayer(std::move(layer));
+}
+
+void XClean::AddLayer(LayerView layer) {
+  variant_gen_.emplace_back(
+      *layer.index,
+      VariantGenOptions{options_.max_ed, options_.include_soundex});
+  layers_.push_back(std::move(layer));
 }
 
 std::string XClean::name() const {
@@ -57,6 +105,7 @@ std::string XClean::name() const {
 }
 
 std::vector<Suggestion> XClean::Suggest(const Query& query) {
+  if (own_scratch_ == nullptr) own_scratch_ = std::make_unique<QueryScratch>();
   std::vector<Suggestion> out;
   SuggestWithScratch(query, *own_scratch_, &out, &stats_);
   return out;
@@ -102,29 +151,29 @@ void XClean::BindScratch(QueryScratch& scratch) const {
   // The scratch last served a different instance (other options, or an
   // index hot-swap rebuilt the algorithm): its memo tables describe the
   // wrong world. Drop them; the arenas are world-free and stay.
-  scratch.variant_cache_.clear();
+  for (auto& memo : scratch.variant_cache_) memo.clear();
+  scratch.variant_cache_.resize(layers_.size());
   scratch.type_cache_.Clear();
   scratch.bound_epoch_ = epoch_;
 }
 
 const std::vector<Variant>& XClean::LookupVariants(
-    QueryScratch& scratch, const std::string& keyword) const {
-  auto it = scratch.variant_cache_.find(keyword);
-  if (it != scratch.variant_cache_.end()) return it->second;
-  if (scratch.variant_cache_.size() >= QueryScratch::kMaxVariantCacheEntries) {
-    scratch.variant_cache_.clear();
-  }
-  variant_gen_.Generate(keyword, scratch.probe_, scratch.generated_);
-  return scratch.variant_cache_.emplace(keyword, scratch.generated_)
-      .first->second;
+    QueryScratch& scratch, size_t li, const std::string& keyword) const {
+  auto& memo = scratch.variant_cache_[li];
+  auto it = memo.find(keyword);
+  if (it != memo.end()) return it->second;
+  if (memo.size() >= QueryScratch::kMaxVariantCacheEntries) memo.clear();
+  variant_gen_[li].Generate(keyword, scratch.probe_, scratch.generated_);
+  return memo.emplace(keyword, scratch.generated_).first->second;
 }
 
-void XClean::ScoreNodeTypeEntities(QueryScratch& scratch, size_t num_slots,
+void XClean::ScoreNodeTypeEntities(const LayerView& layer,
+                                   QueryScratch& scratch, size_t num_slots,
                                    const ResultTypeScorer::Choice& choice,
                                    double error_weight, XCleanRunStats& stats,
                                    CancelToken* cancel) const {
-  const XmlTree& tree = index_->tree();
-  const uint32_t entity_depth = tree.path_depth(choice.path);
+  const XmlTree& tree = layer.index->tree();
+  const uint32_t entity_depth = collection_.path_depths[choice.path];
 
   // Attribute each slot's occurrences (for its current variant rank) to
   // entities at the result type's depth, memoized per (slot, rank, depth)
@@ -132,7 +181,8 @@ void XClean::ScoreNodeTypeEntities(QueryScratch& scratch, size_t num_slots,
   // these lists, so the ancestor walk happens once per bucket, not once
   // per candidate. Buckets are node-ascending and AncestorAtDepth is
   // monotone, so each list comes out sorted by entity with adjacent
-  // duplicates — a single linear pass aggregates it.
+  // duplicates — a single linear pass aggregates it. Each EntityAgg
+  // carries the entity's global PathId, the id space of the chosen type.
   auto& lists = scratch.agg_lists_;
   auto& pos = scratch.agg_pos_;
   lists.clear();
@@ -157,8 +207,8 @@ void XClean::ScoreNodeTypeEntities(QueryScratch& scratch, size_t num_slots,
         const NodeId entity = tree.AncestorAtDepth(o.node, entity_depth);
         entity_end = tree.subtree_end(entity);
         have_entity = true;
-        agg.push_back(
-            QueryScratch::EntityAgg{entity, tree.path_id(entity), o.tf});
+        agg.push_back(QueryScratch::EntityAgg{
+            entity, layer.GlobalPath(tree.path_id(entity)), o.tf});
       }
       slot.agg_depth[rank] = entity_depth;
     }
@@ -197,8 +247,8 @@ void XClean::ScoreNodeTypeEntities(QueryScratch& scratch, size_t num_slots,
     if ((*lists[0])[pos[0]].path == choice.path) {
       double prod = 1.0;
       for (size_t i = 0; i < num_slots; ++i) {
-        prod *= ProbInEntity(scratch.candidate_[i], (*lists[i])[pos[i]].tf,
-                             target);
+        prod *= layer.lm->ProbInEntity(scratch.candidate_[i],
+                                       (*lists[i])[pos[i]].tf, target);
       }
       if (options_.entity_prior) prod *= options_.entity_prior(target);
       if (state == nullptr) {
@@ -215,14 +265,16 @@ void XClean::ScoreNodeTypeEntities(QueryScratch& scratch, size_t num_slots,
   }
 }
 
-void XClean::ScoreLcaEntities(QueryScratch& scratch, size_t num_slots,
-                              double error_weight, XCleanRunStats& stats,
+void XClean::ScoreLcaEntities(const LayerView& layer, QueryScratch& scratch,
+                              size_t num_slots, double error_weight,
+                              XCleanRunStats& stats,
                               CancelToken* cancel) const {
-  const XmlTree& tree = index_->tree();
+  const XmlTree& tree = layer.index->tree();
   const uint32_t d = options_.min_depth;
 
   // The candidate's entities inside this subtree are the SLCAs (or ELCAs)
-  // of its per-slot witness sets.
+  // of its per-slot witness sets. Witnesses sit inside one document, so a
+  // layer's SLCAs/ELCAs are those of the joined collection.
   auto& witness = scratch.witness_lists_;
   witness.resize(num_slots);
   for (size_t i = 0; i < num_slots; ++i) {
@@ -260,7 +312,7 @@ void XClean::ScoreLcaEntities(QueryScratch& scratch, size_t num_slots,
       const uint32_t rank = slot.active_ranks[scratch.odometer_[i]];
       uint64_t count = SumTfInRange(slot.occ_by_rank[rank], entity,
                                     tree.subtree_end(entity));
-      prod *= ProbInEntity(scratch.candidate_[i], count, entity);
+      prod *= layer.lm->ProbInEntity(scratch.candidate_[i], count, entity);
     }
     if (options_.entity_prior) prod *= options_.entity_prior(entity);
     if (state == nullptr) {
@@ -273,80 +325,40 @@ void XClean::ScoreLcaEntities(QueryScratch& scratch, size_t num_slots,
   }
 }
 
-void XClean::SuggestWithScratch(const Query& query, QueryScratch& scratch,
-                                std::vector<Suggestion>* out,
-                                XCleanRunStats* stats, CancelToken* cancel,
-                                const QueryTuning* tuning) const {
-  XCleanRunStats local_stats;
-  XCleanRunStats& run_stats = stats != nullptr ? *stats : local_stats;
-  run_stats = XCleanRunStats{};
-  BindScratch(scratch);
-
-  // Effective knobs for this query: the instance's options, optionally
-  // capped by the per-query tuning (degraded tiers shrink the variant set,
-  // the accumulator bound and the result count; they never widen them).
-  uint32_t eff_max_ed = options_.max_ed;
-  size_t eff_gamma = options_.gamma;
-  size_t eff_top_k = options_.top_k;
-  if (tuning != nullptr) {
-    eff_max_ed = std::min(eff_max_ed, tuning->max_ed);
-    if (tuning->gamma != SIZE_MAX) {
-      // gamma == 0 means unbounded, so min() alone would keep it widest.
-      eff_gamma =
-          eff_gamma == 0 ? tuning->gamma : std::min(eff_gamma, tuning->gamma);
-    }
-    eff_top_k = std::min(eff_top_k, tuning->top_k);
-  }
-
+void XClean::RunLayer(size_t li, const Query& query, uint32_t max_ed,
+                      QueryScratch& scratch, XCleanRunStats& run_stats,
+                      CancelToken* cancel) const {
+  const LayerView& layer = layers_[li];
   const size_t l = query.size();
-  if (l == 0) {
-    out->clear();
-    return;
-  }
-
-  // Per-query arena reset (capacity retained) and cross-query memo cap
-  // enforcement.
-  scratch.accumulators_.Reset(eff_gamma);
-  scratch.slca_totals_.Clear();
-  if (scratch.type_cache_.size() > QueryScratch::kMaxTypeCacheEntries) {
-    scratch.type_cache_.Clear();
-  }
-  if (scratch.slots_.size() < l) scratch.slots_.resize(l);
-  scratch.candidate_.assign(l, 0);
 
   // Step 1 + 2: variant generation (Sec. V-A, memoized across queries) and
-  // one MergedList per keyword over its variants' inverted lists. Variants
-  // are ordered by token so a member's index is both the variant's rank and
-  // its occurrence bucket — and candidate enumeration over ranks is the
-  // deterministic token-order walk the reference evaluation does.
+  // one MergedList per keyword over its variants' inverted lists in this
+  // layer. Variants are ordered by token so a member's index is both the
+  // variant's rank and its occurrence bucket — and candidate enumeration
+  // over ranks is the deterministic token-order walk the reference
+  // evaluation does.
   for (size_t i = 0; i < l; ++i) {
     QueryScratch::Slot& slot = scratch.slots_[i];
-    // Occurrence buckets left over from this slot's previous query.
+    // Occurrence buckets left over from this slot's previous pass.
     for (uint32_t r : slot.active_ranks) {
       slot.occ_by_rank[r].clear();
       slot.agg_depth[r] = QueryScratch::kNoAggDepth;
     }
     slot.active_ranks.clear();
     const std::vector<Variant>& vars =
-        LookupVariants(scratch, query.keywords[i]);
-    // An empty variant list for any keyword empties the whole Cartesian
-    // candidate space.
-    if (vars.empty()) {
-      out->clear();
-      return;
-    }
+        LookupVariants(scratch, li, query.keywords[i]);
+    // An empty variant list for any keyword empties this layer's Cartesian
+    // candidate space; other layers may still hold matches.
+    if (vars.empty()) return;
     slot.variants = vars;
-    if (eff_max_ed < options_.max_ed) {
+    if (max_ed < options_.max_ed) {
       // Degraded tier: drop far variants for this query only. The memoized
       // `vars` stays full-width for the next full-tier query, and erase_if
       // keeps the slot vector's capacity, so this stays allocation-free.
-      std::erase_if(slot.variants, [eff_max_ed](const Variant& v) {
-        return v.distance > eff_max_ed;
+      std::erase_if(slot.variants, [max_ed](const Variant& v) {
+        return v.distance > max_ed;
       });
-      if (slot.variants.empty()) {
-        out->clear();
-        return;
-      }
+      if (slot.variants.empty()) return;
     }
     std::sort(slot.variants.begin(), slot.variants.end(),
               [](const Variant& a, const Variant& b) {
@@ -354,7 +366,8 @@ void XClean::SuggestWithScratch(const Query& query, QueryScratch& scratch,
               });
     slot.merged.Reset();
     for (const Variant& v : slot.variants) {
-      slot.merged.AddMember(v.token, PostingCursor(index_->postings(v.token)));
+      slot.merged.AddMember(v.token,
+                            PostingCursor(layer.index->postings(v.token)));
     }
     slot.merged.Finish();
     if (slot.occ_by_rank.size() < slot.variants.size()) {
@@ -364,13 +377,13 @@ void XClean::SuggestWithScratch(const Query& query, QueryScratch& scratch,
     }
   }
 
-  const XmlTree& tree = index_->tree();
+  const XmlTree& tree = layer.index->tree();
   const uint32_t d = options_.min_depth;
 
   // Main anchor loop (Algorithm 1 lines 4-16).
   for (;;) {
     XCLEAN_FAULT_HIT("xclean.anchor");
-    if (cancel != nullptr && cancel->cancelled()) break;
+    if (cancel != nullptr && cancel->cancelled()) return;
     // Anchor: the largest current head across the merged lists; nil if any
     // list is exhausted (no further subtree can contain all keywords).
     const MergedList::Head* anchor = nullptr;
@@ -387,7 +400,7 @@ void XClean::SuggestWithScratch(const Query& query, QueryScratch& scratch,
         anchor_slot = i;
       }
     }
-    if (exhausted || anchor == nullptr) break;
+    if (exhausted || anchor == nullptr) return;
 
     // An occurrence shallower than d can lie in no depth-d subtree and no
     // entity of depth >= d; discard it.
@@ -399,6 +412,17 @@ void XClean::SuggestWithScratch(const Query& query, QueryScratch& scratch,
     // Truncate the anchor's Dewey code to depth d: the target subtree g.
     NodeId g = tree.AncestorAtDepth(anchor->node, d);
     NodeId g_end = tree.subtree_end(g);
+
+    // Documents die whole and every depth-d subtree lies inside one
+    // document, so g is either fully live or fully dead. A dead g is
+    // skipped wholesale, matching a rebuild that never indexed the doc.
+    if (layer.IsDead(g)) {
+      for (size_t i = 0; i < l; ++i) {
+        scratch.slots_[i].merged.SkipTo(g_end + 1, cancel);
+      }
+      if (cancel != nullptr && cancel->cancelled()) return;
+      continue;
+    }
     ++run_stats.subtrees_processed;
 
     // Align all lists to g (discarding everything before it — those nodes
@@ -432,12 +456,14 @@ void XClean::SuggestWithScratch(const Query& query, QueryScratch& scratch,
     // A cancelled drain collected only part of the subtree's occurrences;
     // scoring it would attribute wrong counts, so drop the subtree and
     // surface what earlier subtrees accumulated.
-    if (cancel != nullptr && cancel->cancelled()) break;
+    if (cancel != nullptr && cancel->cancelled()) return;
     if (!all_slots_present) continue;
 
     // Enumerate candidate queries from the variants observed in g: the
-    // Cartesian product of the per-slot variant sets, in token order
-    // (odometer over the sorted active ranks, last slot fastest).
+    // Cartesian product of the per-slot variant sets, in this layer's
+    // token order (odometer over the sorted active ranks, last slot
+    // fastest). Each candidate folds into its own accumulator cell and the
+    // final ranking is a total order, so layer-local order is harmless.
     auto& odo = scratch.odometer_;
     odo.assign(l, 0);
     for (;;) {
@@ -446,28 +472,30 @@ void XClean::SuggestWithScratch(const Query& query, QueryScratch& scratch,
       for (size_t i = 0; i < l; ++i) {
         const QueryScratch::Slot& slot = scratch.slots_[i];
         const Variant& v = slot.variants[slot.active_ranks[odo[i]]];
-        scratch.candidate_[i] = v.token;
+        scratch.candidate_[i] = layer.GlobalToken(v.token);
         error_weight *= EditWeight(v.distance);
       }
       ++run_stats.candidates_enumerated;
 
       if (options_.semantics == Semantics::kNodeType) {
         // Lazy FindResultType with the P cache (Algorithm 1 lines 12-13);
-        // the cache is cross-query, so repeated candidates across a batch
-        // pay the type-list merge once.
+        // the cache is cross-query and keyed by global tokens, so repeated
+        // candidates across layers and queries pay the type-list merge
+        // once.
         bool created = false;
         ResultTypeScorer::Choice* choice = scratch.type_cache_.GetOrCreate(
             scratch.candidate_.data(), l, &created);
         if (created) {
           ++run_stats.result_type_computations;
-          *choice = type_scorer_.FindResultType(scratch.candidate_, d);
+          *choice = type_scorer_.FindResultType(scratch.candidate_, d,
+                                                scratch.type_buffers_);
         }
         if (choice->path != XmlTree::kInvalidPath) {
-          ScoreNodeTypeEntities(scratch, l, *choice, error_weight, run_stats,
-                                cancel);
+          ScoreNodeTypeEntities(layer, scratch, l, *choice, error_weight,
+                                run_stats, cancel);
         }
       } else {
-        ScoreLcaEntities(scratch, l, error_weight, run_stats, cancel);
+        ScoreLcaEntities(layer, scratch, l, error_weight, run_stats, cancel);
       }
 
       // Advance the Cartesian product (odometer).
@@ -484,6 +512,45 @@ void XClean::SuggestWithScratch(const Query& query, QueryScratch& scratch,
       if (slot == SIZE_MAX) break;
     }
   }
+}
+
+void XClean::Evaluate(const Query& query, size_t first, size_t last,
+                      QueryScratch& scratch, XCleanRunStats& run_stats,
+                      CancelToken* cancel, const QueryTuning* tuning) const {
+  run_stats = XCleanRunStats{};
+  BindScratch(scratch);
+
+  // Effective knobs for this query: the instance's options, optionally
+  // capped by the per-query tuning (degraded tiers shrink the variant set
+  // and the accumulator bound; they never widen them).
+  uint32_t max_ed = options_.max_ed;
+  size_t gamma = options_.gamma;
+  if (tuning != nullptr) {
+    max_ed = std::min(max_ed, tuning->max_ed);
+    if (tuning->gamma != SIZE_MAX) {
+      // gamma == 0 means unbounded, so min() alone would keep it widest.
+      gamma = gamma == 0 ? tuning->gamma : std::min(gamma, tuning->gamma);
+    }
+  }
+
+  // Per-query arena reset (capacity retained) and cross-query memo cap
+  // enforcement. The accumulators are reset once per query: the layer
+  // passes fold into them in (layer, preorder) subtree order, which is the
+  // joined collection's accumulation order.
+  scratch.accumulators_.Reset(gamma);
+  scratch.slca_totals_.Clear();
+  const size_t l = query.size();
+  if (l == 0) return;
+  if (scratch.type_cache_.size() > QueryScratch::kMaxTypeCacheEntries) {
+    scratch.type_cache_.Clear();
+  }
+  if (scratch.slots_.size() < l) scratch.slots_.resize(l);
+  scratch.candidate_.assign(l, 0);
+
+  for (size_t li = first; li < last; ++li) {
+    if (cancel != nullptr && cancel->cancelled()) break;
+    RunLayer(li, query, max_ed, scratch, run_stats, cancel);
+  }
 
   run_stats.accumulator_evictions = scratch.accumulators_.eviction_count();
   run_stats.accumulators_final = scratch.accumulators_.size();
@@ -491,67 +558,78 @@ void XClean::SuggestWithScratch(const Query& query, QueryScratch& scratch,
     run_stats.truncated = true;
     run_stats.cancel_cause = cancel->cause();
   }
+}
 
-  // Final scoring (Eq. 10): rank flat entries that point into the
-  // accumulator's key pool, then materialize only the top-k into the
-  // caller's reused output vector.
-  const Vocabulary& vocab = index_->vocabulary();
-  auto& finals = scratch.finals_;
-  finals.clear();
+void XClean::SuggestWithScratch(const Query& query, QueryScratch& scratch,
+                                std::vector<Suggestion>* out,
+                                XCleanRunStats* stats, CancelToken* cancel,
+                                const QueryTuning* tuning) const {
+  XCleanRunStats local_stats;
+  Evaluate(query, 0, layers_.size(), scratch,
+           stats != nullptr ? *stats : local_stats, cancel, tuning);
+  const size_t top_k = tuning != nullptr
+                           ? std::min(options_.top_k, tuning->top_k)
+                           : options_.top_k;
+  RankCandidates(
+      scratch.accumulators_, collection_, top_k,
+      [&](const TokenId* key, size_t key_len, PathId* result_type) {
+        if (options_.semantics == Semantics::kNodeType) {
+          const ResultTypeScorer::Choice* choice =
+              scratch.type_cache_.Find(key, key_len);
+          XCLEAN_CHECK(choice != nullptr);
+          *result_type = choice->path;
+          if (options_.entity_prior) return 1.0;
+          return static_cast<double>(
+              collection_.path_node_counts[choice->path]);
+        }
+        if (options_.entity_prior) return 1.0;
+        const uint32_t* total = scratch.slca_totals_.Find(key, key_len);
+        XCLEAN_CHECK(total != nullptr);
+        return static_cast<double>(*total);
+      },
+      scratch.finals_, out);
+}
+
+void XClean::CollectLayerPartials(const Query& query, size_t layer,
+                                  QueryScratch& scratch,
+                                  std::vector<PartialCandidate>* out,
+                                  XCleanRunStats* stats, CancelToken* cancel,
+                                  const QueryTuning* tuning) const {
+  XCLEAN_CHECK(layer < layers_.size());
+  XCleanRunStats local_stats;
+  Evaluate(query, layer, layer + 1, scratch,
+           stats != nullptr ? *stats : local_stats, cancel, tuning);
+
+  out->clear();
+  out->reserve(scratch.accumulators_.size());
   scratch.accumulators_.ForEach([&](const TokenId* key, size_t key_len,
                                     const CandidateState& state) {
-    QueryScratch::FinalEntry e;
-    e.key = key;
-    e.key_len = static_cast<uint32_t>(key_len);
-    e.error_weight = state.error_weight;
-    e.entity_count = state.entity_count;
-    e.result_type = XmlTree::kInvalidPath;
-    double n_entities = 1.0;
+    PartialCandidate p;
+    p.tokens.assign(key, key + key_len);
+    p.error_weight = state.error_weight;
+    p.sum = state.sum;
+    p.entity_count = state.entity_count;
     if (options_.semantics == Semantics::kNodeType) {
       const ResultTypeScorer::Choice* choice =
           scratch.type_cache_.Find(key, key_len);
       XCLEAN_CHECK(choice != nullptr);
-      e.result_type = choice->path;
-      if (!options_.entity_prior) {
-        n_entities = tree.path_node_count(choice->path);
-      }
-    } else if (!options_.entity_prior) {
+      p.result_type = choice->path;
+    } else {
       const uint32_t* total = scratch.slca_totals_.Find(key, key_len);
       XCLEAN_CHECK(total != nullptr);
-      n_entities = *total;
+      p.lca_total = *total;
     }
-    e.score = state.error_weight * state.sum / n_entities;
-    finals.push_back(e);
+    out->push_back(std::move(p));
   });
 
-  std::sort(finals.begin(), finals.end(),
-            [&](const QueryScratch::FinalEntry& a,
-                const QueryScratch::FinalEntry& b) {
-              if (a.score != b.score) return a.score > b.score;
-              // Lexicographic comparison of the suggested word sequences
-              // (equal TokenIds are equal words, so compare strings only
-              // where ids differ).
-              size_t n = std::min(a.key_len, b.key_len);
-              for (size_t i = 0; i < n; ++i) {
-                if (a.key[i] == b.key[i]) continue;
-                return vocab.token(a.key[i]) < vocab.token(b.key[i]);
-              }
-              return a.key_len < b.key_len;
+  // Canonical export order: global token ids ascending, so identical shard
+  // content yields an identical partial list regardless of the accumulator
+  // table's internal layout, and the coordinator's shard-major merge order
+  // is fully determined by (shard id, candidate key).
+  std::sort(out->begin(), out->end(),
+            [](const PartialCandidate& a, const PartialCandidate& b) {
+              return a.tokens < b.tokens;
             });
-
-  const size_t k = std::min(finals.size(), eff_top_k);
-  for (size_t r = 0; r < k; ++r) {
-    const QueryScratch::FinalEntry& e = finals[r];
-    if (out->size() <= r) out->emplace_back();
-    Suggestion& s = (*out)[r];
-    if (s.words.size() != e.key_len) s.words.resize(e.key_len);
-    for (size_t i = 0; i < e.key_len; ++i) s.words[i] = vocab.token(e.key[i]);
-    s.score = e.score;
-    s.error_weight = e.error_weight;
-    s.entity_count = e.entity_count;
-    s.result_type = e.result_type;
-  }
-  out->resize(k);
 }
 
 }  // namespace xclean

@@ -27,11 +27,7 @@ std::vector<Suggestion> LiveSnapshot::Suggest(const Query& query,
   QueryScratch local;
   QueryScratch& s = scratch != nullptr ? *scratch : local;
   std::vector<Suggestion> out;
-  if (base_algo_ != nullptr) {
-    base_algo_->SuggestWithScratch(query, s, &out, stats, cancel, tuning);
-  } else {
-    layered_->SuggestWithScratch(query, s, &out, stats, cancel, tuning);
-  }
+  algorithm_->SuggestWithScratch(query, s, &out, stats, cancel, tuning);
   return out;
 }
 
@@ -39,8 +35,7 @@ LiveIndex::LiveIndex(std::shared_ptr<const XmlIndex> base,
                      LiveIndexOptions options)
     : options_(options) {
   XCLEAN_CHECK(base != nullptr);
-  XCLEAN_CHECK(options_.xclean.min_depth >= 2);
-  XCLEAN_CHECK(!options_.xclean.entity_prior);
+  XCLEAN_CHECK(ValidateLayeredOptions(options_.xclean).ok());
   index_options_ = base->options();
   root_label_ = base->tree().label(base->tree().root());
   base_ = std::move(base);
@@ -145,12 +140,11 @@ void LiveIndex::RebuildSnapshotLocked() {
   snap->layers_ = layers;
   snap->sequence_ = sequence_;
   snap->live_docs_ = live_docs_;
-  if (layers->layers.size() == 1 && base_tombstones_.empty()) {
-    snap->base_algo_ = std::make_unique<XClean>(*base_, options_.xclean);
+  if (snap->fast_path()) {
+    snap->algorithm_ = std::make_shared<const XClean>(*base_, options_.xclean);
   } else {
-    snap->stats_ = MergedStats::Build(*layers, options_.xclean);
-    snap->layered_ = std::make_unique<LayeredXClean>(layers, snap->stats_,
-                                                     options_.xclean);
+    snap->algorithm_ = XCleanOverLayers(
+        layers, MergedStats::Build(*layers, options_.xclean), options_.xclean);
   }
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(snap);

@@ -16,7 +16,6 @@
 #include "core/xclean.h"
 #include "delta/delta_index.h"
 #include "delta/layer.h"
-#include "delta/layered_xclean.h"
 #include "delta/merged_stats.h"
 #include "index/manifest.h"
 #include "index/xml_index.h"
@@ -27,8 +26,8 @@ namespace xclean::delta {
 using DocId = uint64_t;
 
 struct LiveIndexOptions {
-  /// Algorithm options for the read path; min_depth >= 2 and no
-  /// entity_prior (prerequisites of the layered evaluation).
+  /// Algorithm options for the read path; must pass
+  /// ValidateLayeredOptions.
   XCleanOptions xclean;
   /// Auto-compaction threshold consulted by the serving engine: when the
   /// memtable holds this many documents after an Add, a background
@@ -58,9 +57,9 @@ struct LiveCounters {
 /// One immutable read snapshot of the layer stack. Produced by LiveIndex
 /// after every mutation; readers pin it (shared_ptr) and serve any number
 /// of queries against a frozen world while writers install successors.
-/// When the stack is a single clean base generation the snapshot serves
-/// through plain XClean (the zero-allocation fast path); otherwise through
-/// LayeredXClean over merged statistics.
+/// Queries run XClean over the snapshot's layers. A single clean base
+/// generation is XClean over that index alone; any other stack is XClean
+/// over every layer, scored against MergedStats.
 class LiveSnapshot {
  public:
   /// Mirrors XCleanSuggester::Suggest(query, scratch, ...): `scratch` may
@@ -76,17 +75,18 @@ class LiveSnapshot {
   uint64_t live_docs() const { return live_docs_; }
   size_t layer_count() const { return layers_->layers.size(); }
   const LayerSet& layers() const { return *layers_; }
-  /// True when serving through the single-generation XClean fast path.
-  bool fast_path() const { return base_algo_ != nullptr; }
+  /// True for a single clean base generation, which needs no merged
+  /// statistics.
+  bool fast_path() const {
+    return layers_->layers.size() == 1 && layers_->layers[0].tombstones.empty();
+  }
 
  private:
   friend class LiveIndex;
   LiveSnapshot() = default;
 
   std::shared_ptr<const LayerSet> layers_;
-  std::shared_ptr<const MergedStats> stats_;       // layered path only
-  std::unique_ptr<const LayeredXClean> layered_;   // layered path only
-  std::unique_ptr<const XClean> base_algo_;        // fast path only
+  std::shared_ptr<const XClean> algorithm_;
   uint64_t sequence_ = 0;
   uint64_t live_docs_ = 0;
 };
@@ -116,6 +116,7 @@ class LiveSnapshot {
 /// Acquisition order: compact_mu_ -> mu_ -> snapshot_mu_.
 class LiveIndex {
  public:
+  /// Requires ValidateLayeredOptions(options.xclean) to pass.
   LiveIndex(std::shared_ptr<const XmlIndex> base, LiveIndexOptions options);
   /// Aliasing variant: serve over a base owned by `owner` (e.g. the
   /// engine's XCleanSuggester) without copying it.

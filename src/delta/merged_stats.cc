@@ -1,7 +1,6 @@
 #include "delta/merged_stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 #include <utility>
 
@@ -15,14 +14,12 @@ std::shared_ptr<const MergedStats> MergedStats::Build(
   std::shared_ptr<MergedStats> out(new MergedStats());
   const size_t num_layers = set.layers.size();
   out->base_ = set.layers[0].index;
-  out->base_vocab_size_ = out->base_->vocabulary().size();
-  out->reduction_ = options.reduction;
+  const Vocabulary& base_vocab = out->base_->vocabulary();
 
   // --- Global vocabulary: base ids verbatim, delta-only tokens appended
   // in (layer, local id) order. The rebuild interns tokens in a different
   // (first-seen text) order; that is immaterial — scores never read token
   // ids and the final ranking compares token *strings*.
-  const Vocabulary& base_vocab = out->base_->vocabulary();
   out->local_to_global_.resize(num_layers);
   std::unordered_map<std::string, TokenId> extra_ids;
   for (size_t li = 1; li < num_layers; ++li) {
@@ -34,7 +31,7 @@ std::shared_ptr<const MergedStats> MergedStats::Build(
       TokenId g = base_vocab.Find(w);
       if (g == kInvalidToken) {
         auto [it, inserted] = extra_ids.emplace(
-            w, static_cast<TokenId>(out->base_vocab_size_ +
+            w, static_cast<TokenId>(base_vocab.size() +
                                     out->extra_tokens_.size()));
         if (inserted) out->extra_tokens_.push_back(w);
         g = it->second;
@@ -42,27 +39,21 @@ std::shared_ptr<const MergedStats> MergedStats::Build(
       m[t] = g;
     }
   }
-  out->vocab_size_ = out->base_vocab_size_ + out->extra_tokens_.size();
+  const size_t vocab_size = base_vocab.size() + out->extra_tokens_.size();
 
   // --- Global path table: replay the path-interning order of a rebuild
   // over JoinLiveTree() — root first, then every live node in (layer,
   // preorder) order — so global PathIds coincide with the rebuild's.
   std::unordered_map<std::string, LabelId> label_ids;
   std::unordered_map<uint64_t, PathId> path_ids;  // (parent << 32) | label
-  auto intern_label = [&](const std::string& name) -> LabelId {
-    auto [it, inserted] = label_ids.emplace(
-        name, static_cast<LabelId>(out->path_label_names_.size()));
-    if (inserted) out->path_label_names_.push_back(name);
-    return it->second;
-  };
   auto intern_path = [&](PathId parent, const std::string& name) -> PathId {
-    const LabelId label = intern_label(name);
+    const LabelId label =
+        label_ids.emplace(name, static_cast<LabelId>(label_ids.size()))
+            .first->second;
     const uint64_t key = (static_cast<uint64_t>(parent) << 32) | label;
     auto [it, inserted] =
         path_ids.emplace(key, static_cast<PathId>(out->path_depths_.size()));
     if (inserted) {
-      out->path_parents_.push_back(parent);
-      out->path_labels_.push_back(label);
       out->path_depths_.push_back(
           parent == XmlTree::kInvalidPath ? 1 : out->path_depths_[parent] + 1);
       out->path_node_counts_.push_back(0);
@@ -99,7 +90,7 @@ std::shared_ptr<const MergedStats> MergedStats::Build(
   // --- Live background model: layer totals minus tombstone losses, folded
   // into the exact smoothing-mass expression of the single-index cache,
   // mu * (cf / total).
-  std::vector<uint64_t> cf_live(out->vocab_size_, 0);
+  std::vector<uint64_t> cf_live(vocab_size, 0);
   uint64_t total_live = 0;
   for (size_t li = 0; li < num_layers; ++li) {
     const Layer& layer = set.layers[li];
@@ -116,17 +107,15 @@ std::shared_ptr<const MergedStats> MergedStats::Build(
       }
     }
   }
-  out->total_live_ = total_live;
-  out->smoothing_mass_.resize(out->vocab_size_);
-  for (size_t g = 0; g < out->vocab_size_; ++g) {
-    out->smoothing_mass_[g] =
-        options.mu * (static_cast<double>(cf_live[g]) /
-                      static_cast<double>(total_live));
+  std::vector<double> smoothing_mass(vocab_size);
+  for (size_t g = 0; g < vocab_size; ++g) {
+    smoothing_mass[g] = options.mu * (static_cast<double>(cf_live[g]) /
+                                      static_cast<double>(total_live));
   }
   out->lm_.reserve(num_layers);
   for (size_t li = 0; li < num_layers; ++li) {
     out->lm_.push_back(std::make_unique<LmStatsCache>(
-        *set.layers[li].index, options.mu, out->smoothing_mass_));
+        *set.layers[li].index, options.mu, smoothing_mass));
   }
 
   // --- Merged type lists: per-layer containment counts minus tombstone
@@ -161,7 +150,7 @@ std::shared_ptr<const MergedStats> MergedStats::Build(
   }
   std::sort(triples.begin(), triples.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  out->type_offsets_.assign(out->vocab_size_ + 1, 0);
+  out->type_offsets_.assign(vocab_size + 1, 0);
   out->type_entries_.reserve(triples.size());
   for (size_t i = 0; i < triples.size();) {
     const uint64_t key = triples[i].first;
@@ -173,66 +162,46 @@ std::shared_ptr<const MergedStats> MergedStats::Build(
                                           static_cast<uint32_t>(freq)});
     out->type_offsets_[static_cast<TokenId>(key >> 32) + 1] += 1;
   }
-  for (size_t g = 0; g < out->vocab_size_; ++g) {
+  for (size_t g = 0; g < vocab_size; ++g) {
     out->type_offsets_[g + 1] += out->type_offsets_[g];
   }
+
+  CollectionView& c = out->collection_;
+  c.type_lists.offsets = out->type_offsets_;
+  c.type_lists.entries = out->type_entries_;
+  c.path_depths = out->path_depths_;
+  c.path_node_counts = out->path_node_counts_;
+  c.vocabulary = &base_vocab;
+  c.extra_tokens = out->extra_tokens_;
   return out;
 }
 
-std::string MergedStats::PathString(PathId p) const {
-  std::vector<LabelId> labels;
-  for (PathId cur = p; cur != XmlTree::kInvalidPath; cur = path_parents_[cur]) {
-    labels.push_back(path_labels_[cur]);
+LayerView MergedStats::View(const LayerSet& set, size_t li) const {
+  LayerView view;
+  view.index = set.layers[li].index.get();
+  for (const Tombstone& tomb : set.layers[li].tombstones) {
+    view.dead.push_back(DeadRange{tomb.begin, tomb.end});
   }
-  std::string s;
-  for (auto it = labels.rbegin(); it != labels.rend(); ++it) {
-    s += '/';
-    s += path_label_names_[*it];
-  }
-  return s;
+  view.token_map = local_to_global_[li];
+  view.path_map = path_to_global_[li];
+  view.lm = lm_[li].get();
+  return view;
 }
 
-ResultTypeScorer::Choice MergedStats::FindResultType(
-    const std::vector<TokenId>& candidate, uint32_t min_depth) const {
-  XCLEAN_CHECK(!candidate.empty());
-  const size_t l = candidate.size();
-  std::vector<std::span<const PathFreq>> lists(l);
-  std::vector<size_t> pos(l, 0);
-  for (size_t i = 0; i < l; ++i) {
-    lists[i] = type_list(candidate[i]);
-    if (lists[i].empty()) return ResultTypeScorer::Choice{};
+std::shared_ptr<const XClean> XCleanOverLayers(
+    std::shared_ptr<const LayerSet> layers,
+    std::shared_ptr<const MergedStats> stats, const XCleanOptions& options) {
+  std::vector<LayerView> views;
+  views.reserve(layers->layers.size());
+  for (size_t li = 0; li < layers->layers.size(); ++li) {
+    views.push_back(stats->View(*layers, li));
   }
-
-  ResultTypeScorer::Choice best;
-  // Multi-way sorted intersection driven by the first list — step for step
-  // the loop of ResultTypeScorer::FindResultType, over merged lists whose
-  // depth >= min_depth entries match the rebuild's exactly.
-  for (;;) {
-    if (pos[0] >= lists[0].size()) break;
-    PathId path = lists[0][pos[0]].path;
-    double product = static_cast<double>(lists[0][pos[0]].freq);
-    bool all = true;
-    for (size_t i = 1; i < l; ++i) {
-      while (pos[i] < lists[i].size() && lists[i][pos[i]].path < path) {
-        ++pos[i];
-      }
-      if (pos[i] >= lists[i].size()) return best;
-      if (lists[i][pos[i]].path != path) {
-        all = false;
-        break;
-      }
-      product *= static_cast<double>(lists[i][pos[i]].freq);
-    }
-    if (all && path_depths_[path] >= min_depth) {
-      double utility =
-          std::log1p(product) * std::pow(reduction_, path_depths_[path]);
-      if (utility > best.utility) {
-        best = ResultTypeScorer::Choice{path, utility, product};
-      }
-    }
-    ++pos[0];
-  }
-  return best;
+  const CollectionView collection = stats->collection();
+  auto owner = std::make_shared<std::pair<std::shared_ptr<const LayerSet>,
+                                          std::shared_ptr<const MergedStats>>>(
+      std::move(layers), std::move(stats));
+  return std::make_shared<const XClean>(std::move(views), collection, options,
+                                        std::move(owner));
 }
 
 }  // namespace xclean::delta

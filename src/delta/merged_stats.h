@@ -3,19 +3,17 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/xclean.h"
 #include "delta/layer.h"
 #include "lm/lm_stats_cache.h"
-#include "lm/result_type.h"
 
 namespace xclean::delta {
 
-/// Cross-layer statistics that make the layered read path score exactly
-/// like a from-scratch rebuild over the live documents (see
+/// Cross-layer statistics that make XClean over a layer stack score
+/// exactly like a from-scratch rebuild over the live documents (see
 /// tests/differential_test.cc, DeltaLayersEqualFullRebuild):
 ///
 ///  - a global vocabulary: base-layer ids kept verbatim, delta-only tokens
@@ -42,79 +40,43 @@ class MergedStats {
   static std::shared_ptr<const MergedStats> Build(const LayerSet& set,
                                                   const XCleanOptions& options);
 
-  size_t layer_count() const { return local_to_global_.size(); }
-
-  // --- Global vocabulary -------------------------------------------------
-  size_t vocab_size() const { return vocab_size_; }
-  /// Base-layer ids map to themselves; delta ids through the layer table.
-  TokenId ToGlobalToken(size_t layer, TokenId local) const {
-    const std::vector<TokenId>& m = local_to_global_[layer];
-    return m.empty() ? local : m[local];
-  }
   const std::string& token(TokenId global) const {
-    return global < base_vocab_size_
-               ? base_->vocabulary().token(global)
-               : extra_tokens_[global - base_vocab_size_];
+    return collection_.token(global);
   }
-
-  // --- Global path table (ids == rebuild ids) ----------------------------
   size_t path_count() const { return path_depths_.size(); }
-  uint32_t path_depth(PathId p) const { return path_depths_[p]; }
   /// Live nodes of the path across all layers — the N of Eq. (8).
   uint32_t path_node_count(PathId p) const { return path_node_counts_[p]; }
-  PathId ToGlobalPath(size_t layer, PathId local) const {
-    return path_to_global_[layer][local];
-  }
-  /// "/a/b/c" rendering (diagnostics).
-  std::string PathString(PathId p) const;
 
-  // --- Language model ----------------------------------------------------
-  uint64_t total_live_tokens() const { return total_live_; }
-  /// mu * P(w|B) over the live collection, indexed by global token.
-  double smoothing_mass(TokenId global) const {
-    return smoothing_mass_[global];
-  }
-  /// Per-layer Dirichlet cache: global smoothing masses, layer-local
-  /// entity denominators.
-  const LmStatsCache& lm(size_t layer) const { return *lm_[layer]; }
-
-  // --- Merged type lists + result-type inference -------------------------
-  std::span<const PathFreq> type_list(TokenId global) const {
-    return std::span<const PathFreq>(
-        type_entries_.data() + type_offsets_[global],
-        type_offsets_[global + 1] - type_offsets_[global]);
-  }
-  /// FindResultType over the merged lists; mirrors
-  /// ResultTypeScorer::FindResultType operation for operation so the chosen
-  /// path, its utility and the tie break match the rebuild exactly.
-  ResultTypeScorer::Choice FindResultType(const std::vector<TokenId>& candidate,
-                                          uint32_t min_depth) const;
+  /// The collection-wide statistics XClean scores against.
+  const CollectionView& collection() const { return collection_; }
+  /// XClean's view of layer `li` of the set this was built from.
+  LayerView View(const LayerSet& set, size_t li) const;
 
  private:
   MergedStats() = default;
 
-  std::shared_ptr<const XmlIndex> base_;  // keeps base vocab strings alive
-  size_t base_vocab_size_ = 0;
-  size_t vocab_size_ = 0;
-  double reduction_ = 0.8;
-  uint64_t total_live_ = 0;
+  TokenId ToGlobalToken(size_t layer, TokenId local) const {
+    const std::vector<TokenId>& m = local_to_global_[layer];
+    return m.empty() ? local : m[local];
+  }
 
+  std::shared_ptr<const XmlIndex> base_;  // keeps base vocab strings alive
   std::vector<std::vector<TokenId>> local_to_global_;  // [layer][local]
   std::vector<std::string> extra_tokens_;              // global - base ids
-
-  std::vector<std::vector<PathId>> path_to_global_;  // [layer][local]
-  std::vector<PathId> path_parents_;
-  std::vector<LabelId> path_labels_;  // indices into path_label_names_
-  std::vector<std::string> path_label_names_;
+  std::vector<std::vector<PathId>> path_to_global_;    // [layer][local]
   std::vector<uint32_t> path_depths_;
   std::vector<uint32_t> path_node_counts_;
-
-  std::vector<double> smoothing_mass_;  // indexed by global token
   std::vector<std::unique_ptr<LmStatsCache>> lm_;
-
-  std::vector<uint32_t> type_offsets_;  // vocab_size_ + 1 entries
+  std::vector<uint32_t> type_offsets_;  // one per global token, plus one
   std::vector<PathFreq> type_entries_;
+  CollectionView collection_;
 };
+
+/// XClean over every layer of `layers`, scored against `stats` (built from
+/// the same set). The algorithm keeps both alive.
+std::shared_ptr<const XClean> XCleanOverLayers(
+    std::shared_ptr<const LayerSet> layers,
+    std::shared_ptr<const MergedStats> stats, const XCleanOptions& options);
 
 }  // namespace xclean::delta
 

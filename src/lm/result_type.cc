@@ -11,7 +11,7 @@ double ResultTypeScorer::Utility(const std::vector<TokenId>& candidate,
   double product = 1.0;
   for (TokenId token : candidate) {
     uint32_t f = 0;
-    for (const PathFreq& pf : index_->type_index().list(token)) {
+    for (const PathFreq& pf : lists_.list(token)) {
       if (pf.path == path) {
         f = pf.freq;
         break;
@@ -20,18 +20,20 @@ double ResultTypeScorer::Utility(const std::vector<TokenId>& candidate,
     if (f == 0) return 0.0;
     product *= static_cast<double>(f);
   }
-  return std::log1p(product) *
-         std::pow(reduction_, index_->tree().path_depth(path));
+  return std::log1p(product) * std::pow(reduction_, path_depths_[path]);
 }
 
 ResultTypeScorer::Choice ResultTypeScorer::FindResultType(
-    const std::vector<TokenId>& candidate, uint32_t min_depth) const {
+    std::span<const TokenId> candidate, uint32_t min_depth,
+    Buffers& buffers) const {
   XCLEAN_CHECK(!candidate.empty());
   const size_t l = candidate.size();
-  std::vector<std::span<const PathFreq>> lists(l);
-  std::vector<size_t> pos(l, 0);
+  auto& lists = buffers.lists;
+  auto& pos = buffers.pos;
+  lists.resize(l);
+  pos.assign(l, 0);
   for (size_t i = 0; i < l; ++i) {
-    lists[i] = index_->type_index().list(candidate[i]);
+    lists[i] = lists_.list(candidate[i]);
     if (lists[i].empty()) return Choice{};
   }
 
@@ -54,10 +56,9 @@ ResultTypeScorer::Choice ResultTypeScorer::FindResultType(
       }
       product *= static_cast<double>(lists[i][pos[i]].freq);
     }
-    if (all && index_->tree().path_depth(path) >= min_depth) {
+    if (all && path_depths_[path] >= min_depth) {
       double utility =
-          std::log1p(product) *
-          std::pow(reduction_, index_->tree().path_depth(path));
+          std::log1p(product) * std::pow(reduction_, path_depths_[path]);
       // freqs are >= 1, so utility > 0; iteration is ascending by PathId,
       // so strict '>' realizes the smaller-path tie break.
       if (utility > best.utility) best = Choice{path, utility, product};

@@ -457,20 +457,15 @@ Status ServingEngine::EnableLiveUpdates(size_t compact_after_docs,
   }
   std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
   const SuggesterOptions& so = snap->suggester->options();
-  // The layered read path is exact only under these preconditions (see
-  // delta/layered_xclean.h); refuse configurations it cannot reproduce.
+  // XClean over a layer stack is exact only under these preconditions
+  // (DESIGN §8); refuse configurations it cannot reproduce.
   if (so.space_tau != 0) {
     return Status::InvalidArgument(
         "live updates require space_tau == 0 (space-edit segmentation is "
         "not layered)");
   }
-  if (so.xclean.entity_prior) {
-    return Status::InvalidArgument(
-        "live updates do not support a custom entity_prior");
-  }
-  if (so.xclean.min_depth < 2) {
-    return Status::InvalidArgument("live updates require min_depth >= 2");
-  }
+  Status valid = ValidateLayeredOptions(so.xclean);
+  if (!valid.ok()) return valid;
   std::shared_ptr<SnapshotLifecycle> lifecycle;
   if (!snapshot_dir.empty()) {
     lifecycle = std::make_shared<SnapshotLifecycle>(snapshot_dir);

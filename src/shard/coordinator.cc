@@ -187,69 +187,23 @@ CoordinatorResult Coordinator::Merge(const delta::MergedStats& stats,
   }
 
   // Final scoring (Eq. 10) over the merged accumulators — the same
-  // arithmetic and tie-break as the unsharded evaluation, against the
-  // global normalizers.
-  struct FinalEntry {
-    const TokenId* key;
-    uint32_t key_len;
-    double score;
-    double error_weight;
-    uint32_t entity_count;
-    PathId result_type;
-  };
-  std::vector<FinalEntry> finals;
+  // routine as the unsharded evaluation, against the global normalizers.
+  std::vector<RankedCandidate> finals;
   finals.reserve(accumulators.size());
-  accumulators.ForEach([&](const TokenId* key, size_t key_len,
-                           const CandidateState& state) {
-    FinalEntry e;
-    e.key = key;
-    e.key_len = static_cast<uint32_t>(key_len);
-    e.error_weight = state.error_weight;
-    e.entity_count = state.entity_count;
-    e.result_type = XmlTree::kInvalidPath;
-    double n_entities = 1.0;
-    if (xclean.semantics == Semantics::kNodeType) {
-      const PathId* type = result_types.Find(key, key_len);
-      XCLEAN_CHECK(type != nullptr);
-      e.result_type = *type;
-      n_entities = stats.path_node_count(*type);
-    } else {
-      const uint32_t* total = lca_totals.Find(key, key_len);
-      XCLEAN_CHECK(total != nullptr);
-      n_entities = *total;
-    }
-    // A node type (or LCA normalizer) with zero global count can reach the
-    // merge — e.g. every matching entity was tombstoned in a delta layer
-    // while the type itself survives in the statistics broadcast. Score it
-    // zero instead of dividing into inf/nan, which would poison the sort.
-    e.score =
-        n_entities > 0.0 ? state.error_weight * state.sum / n_entities : 0.0;
-    finals.push_back(e);
-  });
-
-  std::sort(finals.begin(), finals.end(),
-            [&](const FinalEntry& a, const FinalEntry& b) {
-              if (a.score != b.score) return a.score > b.score;
-              size_t n = std::min(a.key_len, b.key_len);
-              for (size_t i = 0; i < n; ++i) {
-                if (a.key[i] == b.key[i]) continue;
-                return stats.token(a.key[i]) < stats.token(b.key[i]);
-              }
-              return a.key_len < b.key_len;
-            });
-
-  const size_t k = std::min(finals.size(), options.top_k);
-  result.suggestions.resize(k);
-  for (size_t r = 0; r < k; ++r) {
-    const FinalEntry& e = finals[r];
-    Suggestion& s = result.suggestions[r];
-    s.words.resize(e.key_len);
-    for (size_t i = 0; i < e.key_len; ++i) s.words[i] = stats.token(e.key[i]);
-    s.score = e.score;
-    s.error_weight = e.error_weight;
-    s.entity_count = e.entity_count;
-    s.result_type = e.result_type;
-  }
+  RankCandidates(
+      accumulators, stats.collection(), options.top_k,
+      [&](const TokenId* key, size_t key_len, PathId* result_type) {
+        if (xclean.semantics == Semantics::kNodeType) {
+          const PathId* type = result_types.Find(key, key_len);
+          XCLEAN_CHECK(type != nullptr);
+          *result_type = *type;
+          return static_cast<double>(stats.path_node_count(*type));
+        }
+        const uint32_t* total = lca_totals.Find(key, key_len);
+        XCLEAN_CHECK(total != nullptr);
+        return static_cast<double>(*total);
+      },
+      finals, &result.suggestions);
   return result;
 }
 

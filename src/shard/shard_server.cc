@@ -22,7 +22,7 @@ Status HitEvaluatePoints(const char* per_shard_point) {
 }  // namespace
 
 ShardServer::ShardServer(uint32_t shard_id,
-                         std::shared_ptr<const delta::LayeredXClean> engine,
+                         std::shared_ptr<const XClean> engine,
                          uint64_t generation,
                          OverloadControllerOptions overload)
     : shard_id_(shard_id),

@@ -15,7 +15,6 @@
 #include "core/query.h"
 #include "core/query_scratch.h"
 #include "core/xclean.h"
-#include "delta/layered_xclean.h"
 #include "serve/overload.h"
 
 namespace xclean::shard {
@@ -87,7 +86,7 @@ struct ShardServerStats {
 };
 
 /// Serving wrapper for one shard: the per-shard half of scatter-gather.
-/// Holds a slot in the shared LayeredXClean engine (its postings are the
+/// Holds one layer of the shared XClean engine (its postings are the
 /// shard's, its statistics the global broadcast), runs PR 4's degradation
 /// ladder per shard, pins every evaluation to a generation, and exposes
 /// fault-injection points for the simulation harness:
@@ -101,7 +100,7 @@ struct ShardServerStats {
 class ShardServer final : public ShardBackend {
  public:
   ShardServer(uint32_t shard_id,
-              std::shared_ptr<const delta::LayeredXClean> engine,
+              std::shared_ptr<const XClean> engine,
               uint64_t generation,
               OverloadControllerOptions overload = OverloadControllerOptions());
 
@@ -140,7 +139,7 @@ class ShardServer final : public ShardBackend {
 
   const uint32_t shard_id_;
   const std::string fault_point_;  ///< "shard.evaluate.<id>"
-  std::shared_ptr<const delta::LayeredXClean> engine_;
+  std::shared_ptr<const XClean> engine_;
   std::atomic<uint64_t> generation_;
   OverloadController overload_;
 

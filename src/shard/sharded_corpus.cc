@@ -48,14 +48,8 @@ Result<ShardedCorpus> AssembleFromIndexes(
     std::vector<std::shared_ptr<const XmlIndex>> indexes,
     std::vector<ShardRange> ranges, const XCleanOptions& xclean,
     uint64_t generation) {
-  if (xclean.min_depth < 2) {
-    return Status::InvalidArgument(
-        "sharded serving requires min_depth >= 2 (document locality)");
-  }
-  if (xclean.entity_prior) {
-    return Status::InvalidArgument(
-        "sharded serving does not support entity priors");
-  }
+  Status valid = ValidateLayeredOptions(xclean);
+  if (!valid.ok()) return valid;
   auto layers = std::make_shared<delta::LayerSet>();
   layers->layers.reserve(indexes.size());
   for (std::shared_ptr<const XmlIndex>& index : indexes) {
@@ -66,8 +60,7 @@ Result<ShardedCorpus> AssembleFromIndexes(
   corpus.ranges = std::move(ranges);
   corpus.layers = layers;
   corpus.stats = delta::MergedStats::Build(*layers, xclean);
-  corpus.engine =
-      std::make_shared<const delta::LayeredXClean>(layers, corpus.stats, xclean);
+  corpus.engine = delta::XCleanOverLayers(layers, corpus.stats, xclean);
   return corpus;
 }
 

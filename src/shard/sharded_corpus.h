@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "core/xclean.h"
 #include "delta/layer.h"
-#include "delta/layered_xclean.h"
 #include "delta/merged_stats.h"
 #include "index/shard_manifest.h"
 #include "xml/tree.h"
@@ -72,7 +71,7 @@ struct ShardedCorpusOptions {
 /// *global* vocabulary, path table, Dirichlet smoothing masses and merged
 /// type lists — the statistics a distributed deployment would broadcast to
 /// every shard at publish time. Each shard evaluates Algorithm 1 over its
-/// own postings only (LayeredXClean::CollectLayerPartials), but against
+/// own postings only (XClean::CollectLayerPartials), but against
 /// the global background model, which is what makes per-shard partial sums
 /// combine exactly: P(C|T) is a sum over entities (Eq. 8), every entity
 /// lives in exactly one shard, and each per-entity term depends only on
@@ -83,15 +82,16 @@ struct ShardedCorpus {
   /// layers->layers[s].index is shard s's index; tombstones are empty.
   std::shared_ptr<const delta::LayerSet> layers;
   std::shared_ptr<const delta::MergedStats> stats;
-  /// The shared per-shard evaluation engine (immutable, thread-safe).
-  std::shared_ptr<const delta::LayeredXClean> engine;
+  /// The shared per-shard evaluation engine (immutable, thread-safe):
+  /// XClean with one layer per shard.
+  std::shared_ptr<const XClean> engine;
 
   size_t num_shards() const { return ranges.size(); }
 };
 
 /// Range-partitions `corpus` into `options.num_shards` shard indexes and
-/// builds the global statistics. Requires options.xclean.min_depth >= 2
-/// and no entity_prior (the shard-locality preconditions). `generation`
+/// builds the global statistics. Returns ValidateLayeredOptions' refusal
+/// for options.xclean that break shard locality. `generation`
 /// tags the build for staleness detection at the coordinator.
 Result<ShardedCorpus> BuildShardedCorpus(const XmlTree& corpus,
                                          const ShardedCorpusOptions& options,

@@ -2,6 +2,7 @@
 #define XCLEAN_XML_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -118,6 +119,11 @@ class XmlTree {
   /// Number of nodes whose label path is p — the N of Eq. (8) when p is the
   /// chosen result type.
   uint32_t path_node_count(PathId p) const { return path_node_counts_[p]; }
+  /// The two columns above, indexed by PathId.
+  std::span<const uint32_t> path_depths() const { return path_depths_; }
+  std::span<const uint32_t> path_node_counts() const {
+    return path_node_counts_;
+  }
   /// "/a/b/c" rendering of the path.
   std::string PathString(PathId p) const;
   /// PathId for a "/a/b/c" string; kInvalidPath if not present in the tree.

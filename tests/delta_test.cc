@@ -268,12 +268,15 @@ TEST(EngineLiveUpdateTest, AddDeleteCompactThroughTheEngine) {
 }
 
 TEST(EngineLiveUpdateTest, PreconditionsAndLifecycleErrors) {
-  // space_tau > 0 cannot be layered.
-  {
+  // Configurations a layer stack cannot reproduce: space-edit
+  // segmentation, min_depth < 2 and an entity prior.
+  SuggesterOptions refused[3];
+  refused[0].space_tau = 2;
+  refused[1].xclean.min_depth = 1;
+  refused[2].xclean.entity_prior = [](NodeId) { return 1.0; };
+  for (const SuggesterOptions& sopts : refused) {
     Result<XmlTree> tree = ParseXmlString(kBaseXml);
     ASSERT_TRUE(tree.ok());
-    SuggesterOptions sopts;
-    sopts.space_tau = 2;
     serve::EngineOptions eopts;
     eopts.pool.num_threads = 1;
     serve::ServingEngine engine(

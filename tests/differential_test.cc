@@ -299,11 +299,11 @@ std::string RandomDocumentXml(Rng& rng) {
   return xml;
 }
 
-/// Incremental-indexing oracle (delta/layered_xclean.h's exactness claim,
-/// checked end to end): under a random schedule of adds, tombstone deletes
-/// and compactions, the layered read path must score every query
-/// identically to an index rebuilt from scratch over exactly the live
-/// documents. Both the single-generation fast path and the layered path
+/// Incremental-indexing oracle (XClean's layer-view exactness claim, DESIGN
+/// §8, checked end to end): under a random schedule of adds, tombstone
+/// deletes and compactions, XClean over the live stack must score every
+/// query identically to an index rebuilt from scratch over exactly the
+/// live documents. Both a single clean generation and a multi-layer stack
 /// must come under test.
 TEST(DeltaDifferentialTest, DeltaLayersEqualFullRebuild) {
   const uint64_t base_seed = BaseSeed();

@@ -158,6 +158,20 @@ TEST(ShardPartitionTest, DeweyBoundaryMathMatchesOrdinals) {
 /// shard — cross-shard witness combinations only ever meet at the root,
 /// which min_depth excludes. This is the locality argument that lets each
 /// shard compute its entities independently.
+/// Options that break shard locality are refused with InvalidArgument.
+TEST(ShardPartitionTest, BuildRefusesOptionsThatBreakShardLocality) {
+  const XmlTree corpus = RandomCorpusTree(ShardBaseSeed() + 4000);
+  ShardedCorpusOptions shallow;
+  shallow.xclean.min_depth = 1;
+  ShardedCorpusOptions prior;
+  prior.xclean.entity_prior = [](NodeId) { return 1.0; };
+  for (const ShardedCorpusOptions& options : {shallow, prior}) {
+    Result<ShardedCorpus> built = BuildShardedCorpus(corpus, options);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(ShardPartitionTest, LcaAnchorsNeverStraddleShards) {
   const uint64_t base = ShardBaseSeed();
   for (uint64_t round = 0; round < 6; ++round) {

@@ -70,7 +70,7 @@ inline const char* ReplicaFaultName(ReplicaFaultKind kind) {
 class HealthyReplica : public shard::ShardBackend {
  public:
   HealthyReplica(uint32_t shard_id,
-                 std::shared_ptr<const delta::LayeredXClean> engine,
+                 std::shared_ptr<const XClean> engine,
                  uint64_t generation, ManualClock* clock, uint64_t seed)
       : clock_(clock), rng_(seed) {
     OverloadControllerOptions overload;
@@ -119,7 +119,7 @@ class DownReplica : public shard::ShardBackend {
 class FlakyReplica : public shard::ShardBackend {
  public:
   FlakyReplica(uint32_t shard_id,
-               std::shared_ptr<const delta::LayeredXClean> engine,
+               std::shared_ptr<const XClean> engine,
                uint64_t generation, ManualClock* clock, uint64_t seed)
       : healthy_(shard_id, engine, generation, clock, seed),
         down_(shard_id, clock) {}
@@ -167,7 +167,7 @@ class SlowReplica : public shard::ShardBackend {
 class StaleReplica : public shard::ShardBackend {
  public:
   StaleReplica(uint32_t shard_id,
-               std::shared_ptr<const delta::LayeredXClean> engine,
+               std::shared_ptr<const XClean> engine,
                uint64_t expected_generation, ManualClock* clock, uint64_t seed)
       : healthy_(shard_id, engine, expected_generation + 1, clock, seed) {}
 
@@ -186,7 +186,7 @@ class StaleReplica : public shard::ShardBackend {
 class ExpiredReplica : public shard::ShardBackend {
  public:
   ExpiredReplica(uint32_t shard_id,
-                 std::shared_ptr<const delta::LayeredXClean> engine,
+                 std::shared_ptr<const XClean> engine,
                  uint64_t generation, ManualClock* clock)
       : clock_(clock) {
     OverloadControllerOptions overload;

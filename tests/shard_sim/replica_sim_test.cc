@@ -420,7 +420,7 @@ class ModalReplica : public shard::ShardBackend {
   enum class Mode { kDown, kShed, kHealthy };
 
   ModalReplica(uint32_t shard_id,
-               std::shared_ptr<const delta::LayeredXClean> engine,
+               std::shared_ptr<const XClean> engine,
                uint64_t generation, ManualClock* clock, uint64_t seed)
       : shard_id_(shard_id),
         clock_(clock),
@@ -549,7 +549,7 @@ TEST_F(ReplicaSimTest, SixtyFourReplicaConfigurationServes) {
 class DelayBackend : public shard::ShardBackend {
  public:
   DelayBackend(uint32_t shard_id,
-               std::shared_ptr<const delta::LayeredXClean> engine,
+               std::shared_ptr<const XClean> engine,
                uint64_t generation, std::chrono::milliseconds delay)
       : delay_(delay), server_(shard_id, engine, generation) {}
 

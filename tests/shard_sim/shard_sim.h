@@ -189,7 +189,7 @@ inline std::vector<shard::ShardOutcome> ExecuteSchedule(
                        /*times=*/1);
     } else if (fault == FaultKind::kMidQuerySwap) {
       fault::ArmCallback(
-          "delta.anchor",
+          "xclean.anchor",
           [&server, expected_generation] {
             server.PublishGeneration(expected_generation + 1);
           },
@@ -205,7 +205,7 @@ inline std::vector<shard::ShardOutcome> ExecuteSchedule(
       // failed leg, not a polite in-band refusal.
       outcome.kind = shard::ShardOutcomeKind::kError;
     } else if (fault == FaultKind::kMidQuerySwap) {
-      fault::Disarm("delta.anchor");
+      fault::Disarm("xclean.anchor");
     }
     outcomes.push_back(std::move(outcome));
   }

@@ -340,13 +340,13 @@ TEST_F(ShardSimTest, MidQuerySwapIsNeverMergedAsClean) {
        ++s) {
     ShardServer server(s, corpus.engine, kGeneration);
     fault::ArmCallback(
-        "delta.anchor",
+        "xclean.anchor",
         [&server] { server.PublishGeneration(kGeneration + 1); },
         /*times=*/1);
     shard::ShardRequest request;
     request.query = fx.queries[0];
     shard::ShardResponse response = server.Evaluate(request);
-    fault::Disarm("delta.anchor");
+    fault::Disarm("xclean.anchor");
     if (response.generation == kGeneration + 1) {
       EXPECT_EQ(server.stats().stale_risk, 1u);
       swapped = std::move(response);
@@ -435,7 +435,7 @@ TEST_F(ShardSimTest, ForkKilledShardDegradesToPartialAnswer) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    fault::ArmCallback("delta.anchor", [] { _exit(42); }, /*times=*/1);
+    fault::ArmCallback("xclean.anchor", [] { _exit(42); }, /*times=*/1);
     for (uint32_t s = 0; s < corpus.num_shards(); ++s) {
       ShardServer server(s, corpus.engine, kGeneration);
       shard::ShardRequest request;

@@ -10,6 +10,7 @@
 #include "core/variant_gen.h"
 #include "core/xclean.h"
 #include "data/dblp_gen.h"
+#include "shard/sharded_corpus.h"
 #include "alloc_probe.h"
 
 namespace xclean {
@@ -37,38 +38,59 @@ std::vector<Query> TestQueries(const XmlIndex& index) {
   return queries;
 }
 
+/// Allocations of five SuggestWithScratch passes over `queries` after a
+/// two-pass warm-up (the first grows the arenas; the second proves the
+/// growth converged before counting). Also checks the runs produce output.
+uint64_t SteadyStateAllocations(const XClean& algorithm,
+                                const std::vector<Query>& queries) {
+  QueryScratch scratch;
+  // One reused output vector per query: steady state means each query's
+  // result shape repeats, so its own buffers stop growing after warm-up.
+  std::vector<std::vector<Suggestion>> outs(queries.size());
+  auto pass = [&] {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      algorithm.SuggestWithScratch(queries[i], scratch, &outs[i], nullptr);
+    }
+  };
+  pass();
+  pass();
+
+  testing::AllocProbe probe;
+  for (int round = 0; round < 5; ++round) pass();
+  const uint64_t allocations = probe.allocations();
+
+  size_t nonempty = 0;
+  for (const auto& out : outs) nonempty += out.empty() ? 0 : 1;
+  EXPECT_GT(nonempty, 0u);
+  return allocations;
+}
+
 TEST(ZeroAllocTest, SteadyStateSuggestDoesNotAllocate) {
   auto index = Corpus();
   XCleanOptions options;
   options.semantics = Semantics::kNodeType;
   XClean algorithm(*index, options);
-  std::vector<Query> queries = TestQueries(*index);
+  EXPECT_EQ(SteadyStateAllocations(algorithm, TestQueries(*index)), 0u);
+}
 
-  QueryScratch scratch;
-  // One reused output vector per query: steady state means each query's
-  // result shape repeats, so its own buffers stop growing after warm-up.
-  std::vector<std::vector<Suggestion>> outs(queries.size());
-
-  // Warm-up: two passes (the first grows the arenas; the second proves the
-  // growth converged before we start counting).
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      algorithm.SuggestWithScratch(queries[i], scratch, &outs[i], nullptr);
-    }
-  }
-
-  testing::AllocProbe probe;
-  for (int pass = 0; pass < 5; ++pass) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      algorithm.SuggestWithScratch(queries[i], scratch, &outs[i], nullptr);
-    }
-  }
-  EXPECT_EQ(probe.allocations(), 0u);
-
-  // The runs above must still produce real output.
-  size_t nonempty = 0;
-  for (const auto& out : outs) nonempty += out.empty() ? 0 : 1;
-  EXPECT_GT(nonempty, 0u);
+/// The same contract over several layers: the engine of a 3-shard corpus
+/// runs one anchor-loop pass per shard per query, through per-layer variant
+/// memos and global token and path maps.
+TEST(ZeroAllocTest, SteadyStateSuggestOverShardLayersDoesNotAllocate) {
+  DblpGenOptions gen;
+  gen.num_publications = 400;
+  gen.seed = 11;
+  shard::ShardedCorpusOptions options;
+  options.num_shards = 3;
+  options.xclean.semantics = Semantics::kNodeType;
+  Result<shard::ShardedCorpus> corpus =
+      shard::BuildShardedCorpus(GenerateDblp(gen), options);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  ASSERT_EQ(corpus->engine->layer_count(), 3u);
+  EXPECT_EQ(SteadyStateAllocations(
+                *corpus->engine,
+                TestQueries(*corpus->layers->layers[0].index)),
+            0u);
 }
 
 /// Eviction churn must not allocate either: with a tiny gamma the
@@ -194,6 +216,58 @@ TEST(ZeroAllocTest, VariantMemoMissAllocatesOnlyTheMemoEntry) {
   EXPECT_EQ(scratch.variant_cache_entries(), memo.size());
   EXPECT_LE(probe.allocations(), entry_allocations);
   EXPECT_TRUE(out.empty());
+}
+
+/// A result-type memo miss allocates nothing of its own: FindResultType's
+/// intersection cursors live in the scratch. As above, two instances take
+/// turns on one scratch, so the counted pass misses both memos with every
+/// arena warm; its candidates have real result types, and the variant memo
+/// entries are the only allocations allowed.
+TEST(ZeroAllocTest, ResultTypeMemoMissAllocatesOnlyTheMemoEntries) {
+  auto index = Corpus();
+  XCleanOptions options;
+  options.semantics = Semantics::kNodeType;
+  XClean first(*index, options);
+  XClean second(*index, options);
+  std::vector<Query> queries = TestQueries(*index);
+
+  QueryScratch scratch;
+  std::vector<std::vector<Suggestion>> outs(queries.size());
+  uint64_t type_computations = 0;
+  auto pass = [&](const XClean& algorithm) {
+    type_computations = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      XCleanRunStats stats;
+      algorithm.SuggestWithScratch(queries[i], scratch, &outs[i], &stats);
+      type_computations += stats.result_type_computations;
+    }
+  };
+  for (int round = 0; round < 2; ++round) {
+    pass(first);
+    pass(second);
+  }
+  pass(first);
+
+  VariantGenerator generator(*index, VariantGenOptions{options.max_ed});
+  std::unordered_map<std::string, std::vector<Variant>> memo;
+  memo.reserve(64);
+  uint64_t entry_allocations = 0;
+  for (const Query& query : queries) {
+    for (const std::string& keyword : query.keywords) {
+      if (memo.count(keyword) != 0) continue;
+      std::vector<Variant> variants = generator.Generate(keyword);
+      testing::AllocProbe entry;
+      memo.emplace(keyword, variants);
+      entry_allocations += entry.allocations();
+    }
+  }
+
+  testing::AllocProbe probe;
+  pass(second);
+  const uint64_t allocations = probe.allocations();
+  ASSERT_GT(type_computations, 0u)
+      << "the counted pass must miss the result-type memo";
+  EXPECT_LE(allocations, entry_allocations);
 }
 
 /// Sanity-check the probe itself: a heap allocation in the probed region
